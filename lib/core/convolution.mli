@@ -17,30 +17,36 @@
     operand pairs in identical order, hence bit-identical results on
     every measure and [log G].
 
-    The pairwise combine runs as a cache-blocked kernel over the
-    {!Lattice} Bigarrays with per-domain scratch arenas ({!Arena}), so a
-    warmed-up re-solve loop performs no major-heap allocation; above a
-    capacity threshold a single combine's output is split into
-    deterministic row bands computed by parallel domains, bit-identical
-    to the sequential kernel (DESIGN.md, "Combine kernels").
+    The factorial scaling [Q = G/(N1! N2!)] makes every combine weight
+    separable, [w1 w2 (u,v) = R(u) R(v) / R(u+v)] with
+    [R(x) = 1/(P(N1,x) P(N2,x))], so a {!context} holds [O(cap)] tables
+    of [R] instead of weight grids and the pairwise combine runs as a
+    span-tiled unit-stride kernel over the {!Lattice} Bigarrays, with
+    per-domain scratch arenas ({!Arena}) so a warmed-up re-solve loop
+    performs no major-heap allocation; above a capacity threshold a
+    single combine's output is split into deterministic row bands
+    computed by parallel domains, bit-identical to the sequential kernel
+    (DESIGN.md, "Combine kernels").
 
     Complexity: [O(cap^2 R)] time for a full solve with
     [cap = min N1 N2], [O(cap^2 #changed log R)] for a re-solve via
-    {!solve_delta}, [O(cap R)] space (the tree holds [2R - 1] nodes). *)
+    {!solve_delta}, [O(cap R)] space (the tree holds [2R - 1] nodes, a
+    context [O(cap)] tables). *)
 
 (** Per-domain scratch for the combine hot path: two operand-sized
-    profiles for chunk-scaled copies, the chunk counts of the current
-    prechunk, and a free list of result-sized profiles recycled by
-    [Factor_tree.update ~recycle] and the leave-one-out sweep.  Arenas
-    are reached through a [Domain.DLS] key held by the context, so
-    combines issued concurrently — by the banded kernel's own domains or
-    an [Engine.Pool] mapper — never share scratch. *)
+    profiles for rebased copies with their per-span exponents, the chunk
+    counts of the current prechunk, and a free list of result-sized
+    profiles recycled by [Factor_tree.update ~recycle] and the
+    leave-one-out sweep.  Arenas are reached through a [Domain.DLS] key
+    held by the context, so combines issued concurrently — by the banded
+    kernel's own domains or an [Engine.Pool] mapper — never share
+    scratch. *)
 module Arena : sig
   type t
 
-  val create : cap:int -> t
-  (** Fresh arena for profiles of capacity [cap], with an empty free
-      list. *)
+  val create : cap:int -> spans:int -> t
+  (** Fresh arena for profiles of capacity [cap] rebased over [spans]
+      spans, with an empty free list. *)
 
   val acquire : t -> cap:int -> stride:int -> Lattice.t
   (** Pops a recycled profile ({!Lattice.reset} to the all-zero state,
@@ -63,20 +69,22 @@ module Arena : sig
 end
 
 type context
-(** Combine environment for one switch size: the precomputed weight
-    grids, kernel tile size, banding threshold and domain count, the
-    per-domain {!Arena} key and the banded-combine counter.
-    {!Factor_tree.build} resolves its context through a bounded
-    process-wide cache keyed on the dimensions and resolved knobs, so
-    repeated solves of one switch shape share the grids and — through
-    the shared arenas — each other's recycled profiles.  {!context_of}
-    always builds a fresh, unshared context. *)
+(** Combine environment for one switch size: the [O(cap)] tables of
+    [R(x) = 1/(P(N1,x) P(N2,x))] (mantissa and binary exponent, plus
+    per-span ratios), the rebase span, kernel tile size, banding
+    threshold and domain count, the per-domain {!Arena} key and the
+    banded-combine counter.  {!Factor_tree.build} resolves its context
+    through a bounded process-wide cache keyed on the dimensions and
+    resolved knobs, so repeated solves of one switch shape share the
+    tables and — through the shared arenas — each other's recycled
+    profiles.  {!context_of} always builds a fresh, unshared context. *)
 
 val default_combine_threshold : int
-(** The built-in banding threshold (256) used when neither the
+(** The built-in banding threshold (2048) used when neither the
     [combine_threshold] parameter nor [CROSSBAR_COMBINE_THRESHOLD] is
-    given — the capacity where a dense combine's cost overtakes a
-    {!Band_pool} dispatch on the calibration hardware (DESIGN.md). *)
+    given — the capacity from which two {!Band_pool} bands beat one
+    sequential separable combine on the calibration hardware
+    (DESIGN.md, "Combine kernels"). *)
 
 val context_of :
   ?tile:int ->
@@ -86,13 +94,17 @@ val context_of :
   outputs:int ->
   unit ->
   context
-(** [tile] is the kernel block edge (default 64 entries);
+(** [tile] is the kernel block edge: outputs computed per block against
+    each [v]-span (default 64 entries; results do not depend on it);
     [combine_threshold] the capacity at or above which a single combine
     is banded across domains (default: the [CROSSBAR_COMBINE_THRESHOLD]
-    environment variable, else 256 — calibrated against the persistent
-    {!Band_pool} dispatch cost, see DESIGN.md); [band_domains] the
+    environment variable, else 2048 — see DESIGN.md); [band_domains] the
     number of bands (default {!Domains.recommended}).  Banding is
-    disabled whenever [band_domains = 1].
+    disabled whenever [band_domains = 1].  The rebase span is not a
+    knob: it is the largest power of two [s <= 16] with
+    [(N1 N2)^(s-1) <= 2^340], so every ratio applied before a partial
+    sum stays far above the subnormal range (16 up to square caps of
+    2047, 8 beyond).  Building a context costs [O(cap)] time and space.
     @raise Invalid_argument if any knob — parameter or environment
     override — is not [>= 1]; the message names the offending knob and
     its value. *)
@@ -110,28 +122,27 @@ val banded_total : context -> int
 val combine : context -> Lattice.t -> Lattice.t -> Lattice.t
 (** The tilted convolution
     [(A * B)(u+v) = sum A(u) B(v) w1(u,v) w2(u,v)], as the solver runs
-    it: cache-blocked kernel, unchecked accessors, arena scratch and
-    result, banded across domains at or above the context's threshold.
-    Operands are never mutated.  Each output accumulates its terms in
-    strictly increasing [v], so the result is a bit-identical function
-    of the operands regardless of tile size, banding, or which domain
-    runs it — and equal to {!combine_naive} on every operand pair.
+    it.  The weights are applied in separable form: operands are copied
+    into arena scratch rebased to their span bases, each (u-span,
+    v-span) pair of an output contributes a unit-stride dot product of
+    ratios [<= 1], and its one large factor [R(ub) R(vb) / R(u+v)] is
+    applied after the partial sum by exponent arithmetic.  The result
+    is an arena profile, banded across domains at or above the
+    context's threshold.  Operands are never mutated.  Each output
+    accumulates its terms in strictly increasing [v], grouped by spans
+    the switch shape alone fixes, so the result is a bit-identical
+    function of the operands regardless of tile size, banding, or which
+    domain runs it.  It agrees with {!combine_naive} to rounding
+    (relative [1e-12] per entry in the tests), not bit for bit.
     Operand capacities must equal the context's. *)
 
 val combine_naive : context -> Lattice.t -> Lattice.t -> Lattice.t
-(** The pre-kernel reference combine — checked accessors, per-term chunk
-    application, fresh result, no tiling, no bands — kept as the
-    bit-identity oracle for {!combine} in tests and benchmarks.  Never
-    called by the solver. *)
-
-val combine_spawned : context -> Lattice.t -> Lattice.t -> Lattice.t
-(** The spawn-dispatch banded combine (one fresh domain per band, as
-    before the persistent {!Band_pool}): the same arena, prechunk and
-    kernel path as {!combine}, but every combine is banded (no
-    threshold test) over [Domain.spawn] whenever the context has
-    [band_domains > 1].  Bit-identical to {!combine}; kept only as the
-    dispatch-latency baseline for the bench [band_latency] section and
-    the dispatch bit-identity tests.  Never called by the solver. *)
+(** The reference combine, a self-contained oracle for {!combine} in
+    tests and benchmarks: it builds its own [(cap+1)^2] weight grids per
+    call and sums each output in one pass with checked accessors,
+    per-term chunk application and a fresh result — no tables, spans,
+    arena or bands.  [O(cap^2)] memory per call.  Never called by the
+    solver. *)
 
 (** The balanced combine tree over tilted class factors.  Leaves are the
     per-class profiles [C_r] in class order; each internal node caches
@@ -272,7 +283,7 @@ val per_class_distributions : t -> Measures.distribution array
 (** The full marginal occupancy distribution [p(k_r = j)] of every
     class, batched from one {!Factor_tree.leave_one_out} sweep: class
     [r]'s weights are [C_r(j a_r) . H_{-r}] contracted through the
-    corner weight grids, normalised over [j].  [O(R)] combines total
+    separable corner weights, normalised over [j].  [O(R)] combines total
     instead of [R] independent solves; agrees with
     {!Occupancy.class_distribution} to rounding.
     @raise Failure if dynamic rescaling flushed an entire marginal (the
@@ -289,7 +300,9 @@ val concurrencies_at_depth : t -> depth:int -> float array
     @raise Invalid_argument if [depth] lies outside [0 .. min N1 N2]. *)
 
 val log_g : t -> inputs:int -> outputs:int -> float
-(** [log G(n1, n2)], evaluated from the factored form in [O(cap)].
+(** [log G(n1, n2)], evaluated from the factored form in [O(cap)]
+    against the context's [R] table, with the falling factorials carried
+    as mantissa and exponent.
     Entries near the corner — the ones measures use — are always exact.
     @raise Invalid_argument outside the lattice.
     @raise Failure if dynamic rescaling flushed the requested entry to

@@ -2,7 +2,8 @@ module Logspace = Crossbar_numerics.Logspace
 
 (* Values above this trigger an adaptive rescale (paper Section 6). *)
 let rescale_threshold = 1e250
-let rescale_factor = 0x1.0p-830 (* 2^-830 ~ 1.4e-250 *)
+let rescale_bits = 830
+let rescale_factor = 0x1.0p-830 (* 2^-rescale_bits ~ 1.4e-250 *)
 let log_rescale_factor = Logspace.log_checked rescale_factor
 
 type values =
@@ -26,6 +27,7 @@ let create ?(stride = 1) ~capacity () =
   { values; capacity; stride; scale = 0 }
 
 let capacity t = t.capacity
+let values t = t.values
 let stride t = t.stride
 let scale t = t.scale
 let get t u = Bigarray.Array1.get t.values u
@@ -99,34 +101,3 @@ let normalize t =
   end
 
 let log_scale t = float_of_int t.scale *. log_rescale_factor
-
-module Grid = struct
-  type t = { data : values; rows : int; cols : int }
-
-  let create ~rows ~cols =
-    if rows < 1 || cols < 1 then invalid_arg "Lattice.Grid.create: empty";
-    let data =
-      Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (rows * cols)
-    in
-    Bigarray.Array1.fill data 0.;
-    (* lint: alloc=record -- grids are per-context, not per combine *)
-    { data; rows; cols }
-
-  let rows t = t.rows
-  let cols t = t.cols
-
-  let get t i j =
-    if i < 0 || i >= t.rows || j < 0 || j >= t.cols then
-      invalid_arg "Lattice.Grid.get: out of bounds";
-    Bigarray.Array1.get t.data ((i * t.cols) + j)
-
-  let set t i j x =
-    if i < 0 || i >= t.rows || j < 0 || j >= t.cols then
-      invalid_arg "Lattice.Grid.set: out of bounds";
-    Bigarray.Array1.set t.data ((i * t.cols) + j) x
-
-  let unsafe_get t i j = Bigarray.Array1.unsafe_get t.data ((i * t.cols) + j)
-
-  let unsafe_set t i j x =
-    Bigarray.Array1.unsafe_set t.data ((i * t.cols) + j) x
-end

@@ -21,6 +21,10 @@
 
 type t
 
+type values =
+  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** A profile's entries: flat, unboxed and GC-opaque. *)
+
 val rescale_threshold : float
 (** Magnitudes above this trigger an adaptive rescale ([1e250]). *)
 
@@ -28,12 +32,24 @@ val rescale_factor : float
 (** One rescale chunk, [2^-830] — a power of two, so rescaling is exact
     in the significand and only the exponent moves. *)
 
+val rescale_bits : int
+(** [830]: the binary exponent one chunk removes, for kernels that fold
+    chunks into exponent arithmetic instead of multiplying them in. *)
+
 val create : ?stride:int -> capacity:int -> unit -> t
 (** All-zero profile over [0 .. capacity] with [scale = 0].  [stride]
     defaults to 1.
     @raise Invalid_argument if [capacity < 0] or [stride < 1]. *)
 
 val capacity : t -> int
+
+val values : t -> values
+(** The backing store itself, entries [0 .. capacity], for kernels that
+    hoist it out of their inner loops (its element type is statically
+    known there, so accesses compile to plain loads and stores).  Writing
+    through it changes entries only: keeping [stride] and [scale]
+    consistent with them is the caller's job. *)
+
 val stride : t -> int
 
 val scale : t -> int
@@ -91,29 +107,3 @@ val normalize : t -> unit
 val log_scale : t -> float
 (** [scale * log rescale_factor] — the log of the factor by which stored
     values exceed true values (non-positive). *)
-
-(** Flat two-dimensional float table (row-major [float64]
-    [Bigarray.Array1]); backs the precomputed combine-weight tables. *)
-module Grid : sig
-  type t
-
-  val create : rows:int -> cols:int -> t
-  (** All-zero [rows x cols] table.
-      @raise Invalid_argument if either dimension is [< 1]. *)
-
-  val rows : t -> int
-  val cols : t -> int
-
-  val get : t -> int -> int -> float
-  (** @raise Invalid_argument out of bounds. *)
-
-  val set : t -> int -> int -> float -> unit
-  (** @raise Invalid_argument out of bounds. *)
-
-  val unsafe_get : t -> int -> int -> float
-  (** Unchecked read for kernel inner loops; out-of-range coordinates
-      are undefined behaviour.  Use {!get} everywhere else. *)
-
-  val unsafe_set : t -> int -> int -> float -> unit
-  (** Unchecked write; see {!unsafe_get}. *)
-end

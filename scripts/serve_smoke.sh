@@ -33,6 +33,9 @@ if [ ! -x "$SERVE" ]; then
 fi
 
 MODEL='{"inputs":8,"outputs":8,"classes":[{"name":"voice","bandwidth":1,"alpha":0.5,"mu":1.0},{"name":"video","bandwidth":2,"alpha":0.3,"beta":0.1,"mu":0.5}]}'
+# A 6000-port switch: its context must cost O(cap), not two (cap+1)^2
+# weight grids (0.6 GB between them).
+BIG='{"inputs":6000,"outputs":6000,"classes":[{"name":"one","bandwidth":1,"alpha":0.5,"mu":1.0}]}'
 
 # ---- round 1: line protocol over stdin/stdout ----
 printf '%s\n' \
@@ -41,13 +44,14 @@ printf '%s\n' \
   '{"id":3,"op":"delta","tree":"smoke","changes":[{"class":0,"alpha":0.6}]}' \
   '{"id":4,"op":"shadow_costs","tree":"smoke","weights":[1.0,0.2]}' \
   '{"id":5,"op":"admit","tree":"smoke","class":1,"weights":[1.0,0.2]}' \
-  '{"id":6,"op":"stats"}' \
-  '{"id":7,"op":"shutdown"}' \
+  "{\"id\":6,\"op\":\"solve\",\"tree\":\"big\",\"model\":$BIG}" \
+  '{"id":7,"op":"stats"}' \
+  '{"id":8,"op":"shutdown"}' \
   | timeout 60 "$SERVE" --domains 2 > "$OUT"
 
 lines=$(wc -l < "$OUT")
-if [ "$lines" -ne 7 ]; then
-  echo "FATAL: expected 7 responses over stdin, got $lines" >&2
+if [ "$lines" -ne 8 ]; then
+  echo "FATAL: expected 8 responses over stdin, got $lines" >&2
   cat "$OUT" >&2
   exit 1
 fi
@@ -56,7 +60,11 @@ if grep -q '"ok":false' "$OUT"; then
   grep '"ok":false' "$OUT" >&2
   exit 1
 fi
-echo "stdin round: 7/7 ok"
+if ! grep -q '^{"id":6,"ok":true,' "$OUT"; then
+  echo "FATAL: the 6000-port solve did not answer ok:true" >&2
+  exit 1
+fi
+echo "stdin round: 8/8 ok"
 
 # ---- round 2: same stream through the Unix-domain socket ----
 if ! command -v python3 >/dev/null 2>&1; then

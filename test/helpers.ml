@@ -142,4 +142,12 @@ let validation_models () =
       Crossbar.Model.square ~size:3
         ~classes:[ poisson ~name:"hot" 4.0; pascal ~name:"burst" ~alpha:2.0 ~beta:0.9 () ]
     );
+    ( "rectangular bandwidth-3 6x9",
+      Crossbar.Model.create ~inputs:6 ~outputs:9
+        ~classes:
+          [
+            poisson ~name:"w3" ~bandwidth:3 0.8;
+            pascal ~name:"b3" ~bandwidth:3 ~alpha:0.5 ~beta:0.2 ();
+            poisson ~name:"thin" 0.3;
+          ] );
   ]

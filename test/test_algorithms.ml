@@ -140,6 +140,42 @@ let test_dynamic_scaling_fires_and_stays_correct () =
   check_measures_equal ~tol:1e-8 "scaled vs mva" (Convolution.measures conv)
     (Mva.measures (Mva.solve model))
 
+(* Four classes of two bandwidths in the rescaling regime, from cap 256
+   to 2000: the separable kernel's span rebasing and exponent arithmetic
+   must leave every measure and log G within 1e-9 of Algorithm 2, which
+   never scales.  Loads are picked so each solve folds in at least one
+   Section 6 rescale chunk. *)
+let test_rescaling_r4_matches_mva () =
+  List.iter
+    (fun (cap, load, bursty) ->
+      let model =
+        Model.square ~size:cap
+          ~classes:
+            [
+              poisson ~name:"p1" load;
+              poisson ~name:"p2" ~bandwidth:2
+                (load /. float_of_int (cap - 1));
+              (if bursty then pascal ~name:"q1" ~alpha:load ~beta:0.01 ()
+               else poisson ~name:"q1" (0.7 *. load));
+              poisson ~name:"p3" (0.5 *. load);
+            ]
+      in
+      let label = Printf.sprintf "cap %d load %g" cap load in
+      let conv = Convolution.solve model and mva = Mva.solve model in
+      check_bool (label ^ ": rescale fired") true
+        (Convolution.rescale_count conv >= 1);
+      check_measures_equal ~tol:1e-9 label (Convolution.measures conv)
+        (Mva.measures mva);
+      check_close ~tol:1e-9 (label ^ ": log G")
+        (Mva.log_normalization mva)
+        (Convolution.log_normalization conv))
+    [
+      (256, 4.0, true);
+      (512, 1.0, true);
+      (1024, 0.05, true);
+      (2000, 0.1, false);
+    ]
+
 let test_flushed_entry_detected () =
   (* Extreme load on a large switch forces repeated rescales; entries near
      the origin underflow to zero.  log_g must refuse them loudly instead
@@ -260,6 +296,8 @@ let () =
           case "no rescale at paper sizes" test_no_rescale_at_paper_sizes;
           slow_case "dynamic scaling correctness"
             test_dynamic_scaling_fires_and_stays_correct;
+          slow_case "R=4 rescaling regime vs MVA, caps 256-2000"
+            test_rescaling_r4_matches_mva;
           case "flushed entry detected" test_flushed_entry_detected;
         ] );
       ( "mva",

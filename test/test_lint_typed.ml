@@ -209,7 +209,7 @@ let annotated_sites =
     ("../lib/serve/batcher.ml", "guarded=groups,requests");
     ("../lib/serve/batcher.ml", "guarded=shared");
     ("../lib/core/band_pool.ml", "guarded=mb");
-    ("../lib/core/convolution.ml", "guarded=ctx,left,right,result");
+    ("../lib/core/convolution.ml", "guarded=ctx,arena,result");
   ]
 
 let test_tree_annotations_present () =
@@ -231,7 +231,7 @@ let alloc_annotated_files =
   [
     ("../lib/core/convolution.ml", 14);
     ("../lib/core/band_pool.ml", 3);
-    ("../lib/core/lattice.ml", 3);
+    ("../lib/core/lattice.ml", 2);
     ("../lib/core/model.ml", 1);
     ("../lib/numerics/kahan.ml", 1);
     ("../lib/numerics/special.ml", 1);

@@ -22,8 +22,8 @@ let () =
   in
   Format.printf "%a@." Crossbar.Model.pp switch;
 
-  (* Solve with the recommended algorithm (Algorithm 1 for small
-     switches, Algorithm 2 for large ones). *)
+  (* Solve with the recommended algorithm: Algorithm 1, exact at every
+     switch size. *)
   let measures = Crossbar.Solver.solve switch in
   Format.printf "%a@.@." Crossbar.Measures.pp measures;
 

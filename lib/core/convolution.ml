@@ -15,11 +15,12 @@ module Logspace = Crossbar_numerics.Logspace
 
    (Poisson classes are theta = 0, i.e. rho^k/k!; Bernoulli classes have
    theta < 0 and truncate at the source count).  We store each factor in
-   corner-tilted form C_r(u) = h_r(u) P(N1,u) P(N2,u) so that every
-   entry is bounded by the corner normalisation G(N1,N2) and the
-   Section 6 dynamic rescale applies per partial product.  The same
-   factorial scaling that defines Q makes the combine weight of tilted
-   factors separable: with R(x) = 1 / (P(N1,x) P(N2,x)),
+   corner-tilted form C_r(u) = h_r(u) P(N1,u) P(N2,u), one binary
+   exponent per entry (see Lattice): the root H of an R=4 solve at cap
+   512 spans some 600 decades, more than one double's range, so no single
+   scale per profile (the paper's Section 6 rescale) can hold it.  The
+   same factorial scaling that defines Q makes the combine weight of
+   tilted factors separable: with R(x) = 1 / (P(N1,x) P(N2,x)),
 
      w1 w2 (u, v) = P(N1,u+v) P(N2,u+v) / (P(N1,u) P(N1,v) P(N2,u) P(N2,v))
                   = R(u) R(v) / R(u+v),
@@ -47,20 +48,20 @@ module Logspace = Crossbar_numerics.Logspace
    computed by parallel domains — see DESIGN.md, "Combine kernels". *)
 
 (* Per-domain scratch for the combine hot path: two rebased operand
-   copies with the binary exponent each of their spans was normalised
-   by, the borrowed chunk counts of the current prechunk, and a free
-   list of result-sized lattices recycled by [Factor_tree.update
-   ~recycle] and the leave-one-out sweep.  One arena exists per (context,
+   copies (plain mantissa arrays) with the binary exponent each of their
+   spans was normalised by, the current combine's output frames (see
+   [load_frames]), and a free list of result-sized lattices
+   recycled by [Factor_tree.update ~recycle] and the leave-one-out
+   sweep.  One arena exists per (context,
    domain) pair — reached through a [Domain.DLS] key, so combines issued
    concurrently by a pool mapper never share scratch. *)
 module Arena = struct
   type t = {
-    left : Lattice.t;
-    right : Lattice.t;
+    left : Lattice.values;
+    right : Lattice.values;
     left_shift : int array;
     right_shift : int array;
-    mutable ka : int;
-    mutable kb : int;
+    frames : int array;
     mutable pool : Lattice.t list;
     mutable created : int;
     mutable reused : int;
@@ -68,12 +69,13 @@ module Arena = struct
 
   let create ~cap ~spans =
     {
-      left = Lattice.create ~capacity:cap ();
-      right = Lattice.create ~capacity:cap ();
+      left =
+        Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (cap + 1);
+      right =
+        Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (cap + 1);
       left_shift = Array.make spans 0;
+      frames = Array.make spans 0;
       right_shift = Array.make spans 0;
-      ka = 0;
-      kb = 0;
       pool = [];
       created = 0;
       reused = 0;
@@ -111,7 +113,6 @@ type context = {
   mant : floatarray; (* R(x) = mant.(x) * 2^expo.(x), mant in [0.5, 1) *)
   inv_mant : floatarray; (* 1 / mant.(x) *)
   expo : int array;
-  to_base : floatarray; (* R(x) / 2^expo.(span base of x), in (0, 1) *)
   from_top : floatarray; (* R(span top of x) / R(x), in (0, 1] *)
   band_threshold : int; (* cap >= this: parallelise a single combine *)
   band_domains : int; (* bands (domains) a banded combine splits into *)
@@ -140,10 +141,9 @@ let span_log2_for ~inputs ~outputs =
   fit 4
 
 (* R(x) = 1 / (P(N1, x) P(N2, x)) as mantissa and binary exponent — it
-   spans thousands of decades at large caps — plus the per-span tables
-   the kernels rebase with: R(x) against its span base's exponent
-   (below 1, and within [span - 1] chain steps of the base's mantissa),
-   and R(span top) / R(x) (in (0, 1]). *)
+   spans thousands of decades at large caps — plus the per-span table
+   the diagonal's correlation rebases with, R(span top) / R(x) (in
+   (0, 1]). *)
 let separable_tables ~inputs ~outputs ~cap ~span =
   let mant = Float.Array.make (cap + 1) 0.5 in
   let expo = Array.make (cap + 1) 1 in
@@ -161,13 +161,10 @@ let separable_tables ~inputs ~outputs ~cap ~span =
       (Float.Array.get mant x /. Float.Array.get mant y)
       (expo.(x) - expo.(y))
   in
-  let base x = x land lnot (span - 1) in
-  let top x = imin cap (base x + span - 1) in
+  let top x = imin cap ((x land lnot (span - 1)) + span - 1) in
   ( mant,
     Float.Array.map (fun m -> 1. /. m) mant,
     expo,
-    Float.Array.init (cap + 1) (fun x ->
-        Float.ldexp (Float.Array.get mant x) (expo.(x) - expo.(base x))),
     Float.Array.init (cap + 1) (fun x -> ratio (top x) x) )
 
 let default_tile = 64
@@ -229,7 +226,7 @@ let context_of ?tile ?combine_threshold ?band_domains ~inputs ~outputs () =
   let cap = min inputs outputs in
   let span_log2 = span_log2_for ~inputs ~outputs in
   let span = 1 lsl span_log2 in
-  let mant, inv_mant, expo, to_base, from_top =
+  let mant, inv_mant, expo, from_top =
     separable_tables ~inputs ~outputs ~cap ~span
   in
   {
@@ -242,7 +239,6 @@ let context_of ?tile ?combine_threshold ?band_domains ~inputs ~outputs () =
     mant;
     inv_mant;
     expo;
-    to_base;
     from_top;
     band_threshold;
     band_domains;
@@ -312,64 +308,6 @@ let unit_profile cap =
   Lattice.set l 0 1.;
   l
 
-(* Tilted per-class sequence via the chain
-     v_k = step_k (C(u - a) + theta v_{k-1}),   C(u) = rho v_k / k
-   at u = k a, with step_k = P(N1-(k-1)a, a) P(N2-(k-1)a, a) carrying
-   the corner tilt along so magnitudes track G rather than h alone.
-   The profile comes from the current domain's arena, so a steady-state
-   update loop rebuilds leaves into recycled storage. *)
-let class_factor ctx model r =
-  let a = Model.bandwidth model r in
-  let rho = Model.rho model r in
-  let theta = Model.beta_over_mu model r in
-  let seq = Arena.acquire (Domain.DLS.get ctx.arenas) ~cap:ctx.cap ~stride:a in
-  Lattice.set seq 0 1.;
-  (* lint: alloc=v -- one chain cell per class factor, O(R) per solve *)
-  let v = ref 0. in
-  for k = 1 to ctx.cap / a do
-    let u = k * a in
-    let step =
-      Special.permutations (ctx.n1 - ((k - 1) * a)) a
-      *. Special.permutations (ctx.n2 - ((k - 1) * a)) a
-    in
-    v := step *. (Lattice.get seq (u - a) +. (theta *. !v));
-    let value = rho *. !v /. float_of_int k in
-    if not (Float.is_finite value && Float.is_finite !v) then
-      failwith
-        "Convolution.solve: overflow within a single recurrence step; \
-         use Mva.solve for this parameter regime";
-    Lattice.set seq u value;
-    if Float.max (Float.abs value) (Float.abs !v) > Lattice.rescale_threshold
-    then begin
-      Lattice.rescale seq;
-      v := !v *. Lattice.rescale_factor
-    end
-  done;
-  seq
-
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-
-(* Virtual pre-scaling shared by [combine] and the marginal sweep: how
-   many rescale chunks to borrow from each operand so that the largest
-   product of entries stays representable.  The counts land in the
-   arena's [ka]/[kb] fields and are credited back to the result's scale
-   (or cancel in a normalised marginal). *)
-let prechunk (arena : Arena.t) a b =
-  arena.ka <- 0;
-  arena.kb <- 0;
-  (* lint: alloc=ma,mb -- two scratch cells per prechunk *)
-  let ma = ref (Lattice.max_abs a) and mb = ref (Lattice.max_abs b) in
-  while !ma *. !mb > Lattice.rescale_threshold do
-    if !ma >= !mb then begin
-      arena.ka <- arena.ka + 1;
-      ma := !ma *. Lattice.rescale_factor
-    end
-    else begin
-      arena.kb <- arena.kb + 1;
-      mb := !mb *. Lattice.rescale_factor
-    end
-  done
-
 (* [x * 2^e], bit-identical to [Float.ldexp x e]: while 2^e is a normal
    double the product rounds once, as ldexp does, so only exponents
    outside that range pay for the library call. *)
@@ -385,44 +323,188 @@ let[@inline] scale2 x e =
   if e >= -1022 && e <= 1023 then x *. Float.Array.unsafe_get pow2 (e + 1022)
   else Float.ldexp x e
 
-(* frexp's exponent of a positive normal [x] — [x] in [2^(e-1), 2^e) —
-   read off the bit pattern, so no tuple is allocated; -1022 for zero
-   and subnormals. *)
-let exponent_of x =
+(* A segment of a kernel output whose bound sits [negligible] or more
+   binary orders below the output's frame adds less than the smallest
+   subnormal (its sum is below 2 span <= 2^5); the kernel skips it.
+   [pow2_down] holds the scale-down factors 2^-i for the rest. *)
+let negligible = 1080
+
+(* lint: domain-safe — written once at module init, read-only after *)
+let pow2_down =
+  let table = Float.Array.create negligible in
+  for i = 0 to negligible - 1 do
+    Float.Array.set table i (Float.ldexp 1. (-i))
+  done;
+  table
+
+(* frexp's exponent of a normal [x] — |x| in [2^(e-1), 2^e) — read off
+   the bit pattern, so no tuple is allocated; -1022 for zero and
+   subnormals. *)
+let[@inline] exponent_of x =
   (Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float x) 52)
   land 0x7ff)
   - 1022
 
-(* Copies [src] into the scratch profile [dst] rebased span by span:
-   entry [u] becomes S(u) 2^-sigma R(u) / 2^expo(ub), where ub is the
-   span base and 2^sigma bounds the span's largest entry, and
-   [shift.(span)] records sigma + expo(ub) - 830 k, the exponent the
-   kernels add back, with the [k] borrowed rescale chunks (830 bits
-   each) folded in rather than multiplied into the entries.  So every
-   rebased entry is below 1 and at least its ratio to the span's peak
-   times (N1 N2)^-(span-1) / 2, and a small stored entry (one sitting a
-   chunk down, say) is not pushed into the subnormal range by the
-   rebasing. *)
-let load_rebased ctx dst shift src k =
+(* [(m, e)] plus [x * 2^k], for [x] within a few binary orders of 1,
+   held against the larger of the two exponents so neither term is
+   flushed against the other: the running-exponent sum of [log_g] and
+   the reference combine.  The kernels hold their sums against a frame
+   worked out in advance instead (see [load_frames]). *)
+let accumulate (m, e) x k =
+  if k > e || not (Float.abs m > 0.) then (scale2 m (e - k) +. x, k)
+  else (m +. scale2 x (k - e), e)
+
+(* Tilted per-class sequence: with step_k = P(N1-(k-1)a, a)
+   P(N2-(k-1)a, a) carrying the corner tilt along, so magnitudes track
+   G rather than h alone,
+     C(k a) = C((k-1) a) step_k (rho + (k-1) theta) / k,
+   the BPP product h(k) = rho (rho + theta) ... (rho + (k-1) theta) / k!
+   one factor at a time.  step_k is R((k-1) a) / R(k a), read off the
+   context's tables as a mantissa quotient and an exponent difference,
+   and each entry is normalised as it is stored, so no step can
+   overflow at any bandwidth.  A Bernoulli class with [S] sources stops
+   at k = S: h(k a) is exactly zero beyond it, where the factor
+   rho + S theta vanishes only up to rounding (which every later step
+   would multiply by |theta| P P / k).  The profile comes from the
+   current domain's arena (zeroed), so a steady-state update loop
+   rebuilds leaves into recycled storage. *)
+let factor_of ctx ~a ~rho ~theta =
+  let seq = Arena.acquire (Domain.DLS.get ctx.arenas) ~cap:ctx.cap ~stride:a in
+  Lattice.set seq 0 1.;
+  let last =
+    let sources = Float.round (rho /. -.theta) in
+    if
+      theta < 0.
+      && Float.abs ((rho /. -.theta) -. sources) < 1e-9 *. Float.max 1. sources
+    then imin (ctx.cap / a) (int_of_float sources)
+    else ctx.cap / a
+  in
+  let v = Lattice.values seq and e = Lattice.exponents seq in
+  for k = 1 to last do
+    let u = k * a in
+    let x =
+      Bigarray.Array1.unsafe_get v (u - a)
+      *. (Float.Array.unsafe_get ctx.mant (u - a)
+         /. Float.Array.unsafe_get ctx.mant u)
+      *. ((rho +. (float_of_int (k - 1) *. theta)) /. float_of_int k)
+    in
+    if Float.abs x > 0. then begin
+      let s = exponent_of x in
+      Bigarray.Array1.unsafe_set v u (scale2 x (-s));
+      Bigarray.Array1.unsafe_set e u
+        (Int32.of_int
+           (Int32.to_int (Bigarray.Array1.unsafe_get e (u - a))
+           + Array.unsafe_get ctx.expo (u - a)
+           - Array.unsafe_get ctx.expo u + s))
+    end
+  done;
+  seq
+
+let class_factor ctx model r =
+  factor_of ctx ~a:(Model.bandwidth model r) ~rho:(Model.rho model r)
+    ~theta:(Model.beta_over_mu model r)
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+(* Copies [src] into the scratch array [dst] rebased span by span:
+   entry [u] = m(u) 2^e(u) becomes
+     m(u) mant(u) 2^(e(u) + expo(u) - tilt u - sigma),
+   i.e. C(u) R(u) 2^-(tilt u) over 2^sigma, where 2^sigma bounds the
+   span's largest such value (mantissas are normalised, so exponents
+   alone bound it) and goes to [shift.(span)], the exponent the kernels
+   add back.  So every rebased entry is below 1, and an entry is only
+   ever measured against the peak of its own span, never against the
+   profile's.  The [tilt] (2^-tilt per unit of bandwidth) is the
+   exponential tilt z -> z 2^-tilt of the operand's generating
+   function: a combine applies the same tilt to both operands, every
+   term of output t then carries the same 2^-(tilt t), which the kernel
+   adds back with the output's exponent, and the sum is unchanged —
+   but a steep profile (a hot class gains 2^140 per port) becomes flat
+   within each span, so the product of two entries low in their spans
+   cannot underflow.  The diagonal and the marginals load with tilt 0. *)
+let zero_shift = min_int / 4
+
+let load_rebased ?(tilt = 0) ctx (dst : Lattice.values) shift src =
   let s = ctx.span in
-  let sv = Lattice.values src and dv = Lattice.values dst in
-  (* lint: alloc=peak -- one scratch cell per operand load *)
-  let peak = ref 0. in
+  let sv = Lattice.values src and se = Lattice.exponents src in
+  let mant = ctx.mant and expo = ctx.expo in
+  (* lint: alloc=sigma -- one scratch cell per operand load *)
+  let sigma = ref 0 in
   for span = 0 to Lattice.capacity src lsr ctx.span_log2 do
     let lo = span lsl ctx.span_log2 in
     let hi = imin (Lattice.capacity src) (lo + s - 1) in
-    peak := 0.;
+    sigma := min_int;
     for u = lo to hi do
-      let x = Float.abs (Bigarray.Array1.unsafe_get sv u) in
-      if x > !peak then peak := x
+      if Float.abs (Bigarray.Array1.unsafe_get sv u) > 0. then
+        sigma :=
+          imax !sigma
+            (Int32.to_int (Bigarray.Array1.unsafe_get se u)
+            + Array.unsafe_get expo u - (tilt * u))
     done;
-    let sigma = exponent_of !peak in
-    Array.unsafe_set shift span
-      (sigma + Array.unsafe_get ctx.expo lo - (Lattice.rescale_bits * k));
+    (* an all-zero span's shift sits far below every real one, so it
+       never sets an output's frame *)
+    if !sigma = min_int then sigma := zero_shift;
+    Array.unsafe_set shift span !sigma;
     for u = lo to hi do
-      Bigarray.Array1.unsafe_set dv u
-        (scale2 (Bigarray.Array1.unsafe_get sv u) (-sigma)
-        *. Float.Array.unsafe_get ctx.to_base u)
+      let m = Bigarray.Array1.unsafe_get sv u in
+      Bigarray.Array1.unsafe_set dst u
+        (if Float.abs m > 0. then
+           scale2
+             (m *. Float.Array.unsafe_get mant u)
+             (Int32.to_int (Bigarray.Array1.unsafe_get se u)
+             + Array.unsafe_get expo u - (tilt * u) - !sigma)
+         else 0.)
+    done
+  done
+
+(* Binary magnitude of entry [u] of [l] against the untilted scale:
+   log2 of C(u) R(u), up to a mantissa's fraction of a bit. *)
+let magnitude ctx l u = Lattice.exponent l u + Array.unsafe_get ctx.expo u
+
+(* Average slope, in bits per unit of bandwidth, of log2 C(u) R(u) over
+   the nonzero support of [l] (0 when that is a single entry). *)
+let rec first_nonzero l u =
+  if u >= Lattice.capacity l || Float.abs (Lattice.unsafe_mantissa l u) > 0.
+  then u
+  else first_nonzero l (u + 1)
+
+let rec last_nonzero l u =
+  if u <= 0 || Float.abs (Lattice.unsafe_mantissa l u) > 0. then u
+  else last_nonzero l (u - 1)
+
+let slope ctx l =
+  let lo = first_nonzero l 0 and hi = last_nonzero l (Lattice.capacity l) in
+  if hi <= lo then 0.
+  else
+    float_of_int (magnitude ctx l hi - magnitude ctx l lo)
+    /. float_of_int (hi - lo)
+
+(* The combine's common tilt: midway between the operands' average
+   slopes, so neither is left steeper than half their difference. *)
+let tilt_for ctx a b =
+  int_of_float (Float.round ((slope ctx a +. slope ctx b) /. 2.))
+
+(* Each output's frame, the exponent its sum is held against: a term
+   of output t in the (u-span, v-span) pair (T - j - seg, j), with
+   T = t / span and seg in {0, 1}, carries
+     2^(shift_a.(T - j - seg) + shift_b.(j) + tilt t) / R(t),
+   so frames.(T) = max over j, seg of shift_a + shift_b bounds the
+   exponent of every segment sum of every output in span T (each below
+   2 span), and the kernel scales each one down into it.  A (max, +)
+   correlation of the two shift arrays, O((cap / span)^2) per combine. *)
+let load_frames ctx (arena : Arena.t) =
+  let a = arena.left_shift and b = arena.right_shift in
+  let frames = arena.frames in
+  for tt = 0 to ctx.cap lsr ctx.span_log2 do
+    Array.unsafe_set frames tt zero_shift;
+    for j = 0 to tt do
+      let bj = Array.unsafe_get b j in
+      let m =
+        imax
+          (bj + Array.unsafe_get a (tt - j))
+          (if tt > j then bj + Array.unsafe_get a (tt - j - 1) else zero_shift)
+      in
+      if m > Array.unsafe_get frames tt then Array.unsafe_set frames tt m
     done
   done
 
@@ -440,34 +522,40 @@ let residue ~sa ~sb t =
    R(x) = 1/(P(N1,x) P(N2,x)) every combine weight factors as
      w1 w2 (u, v) = R(u) R(v) / R(u+v),
    so a term of output t = u + v is
-     A(u) B(v) w(u, v) = a'(u) b'(v) 2^(shift_a + shift_b) / R(t),
-   where the arena holds both operands rebased per span (see
+     A(u) B(v) w(u, v) = a'(u) b'(v) 2^(shift_a + shift_b + tilt t) / R(t),
+   where the arena holds both operands rebased per span and tilted (see
    [load_rebased]): a'(u) and b'(v) are below 1, and their spans' peak
-   and base exponents sit in the shifts.  The terms of one (u-span,
-   v-span) pair form a unit-stride reversed dot product; its one large
-   factor 2^(shift_a + shift_b) / R(t) is applied after the partial sum
-   as a mantissa and a binary exponent, so no intermediate leaves the
-   double range however far R(x) itself does.  Valid terms (u a
-   multiple of [sa], v of [sb]) step by l = lcm sa sb in v.
+   exponents sit in the shifts.  The terms of one (u-span, v-span) pair
+   form a unit-stride reversed dot product; its one large factor
+   2^(shift_a + shift_b + tilt t) / R(t) is applied after the partial
+   sum as a mantissa and a binary exponent, so no intermediate leaves
+   the double range however far R(x) itself does.  Each output sums
+   against its frame (see [load_frames]), the largest such exponent of
+   any of its segments, so every segment is scaled down by a table
+   power of two, never up, and the output is stored normalised against
+   its own exponent: no output is flushed however far it sits from the
+   others.  Valid terms (u a multiple of [sa], v of [sb]) step by
+   l = lcm sa sb in v.
 
    Outputs are blocked [ctx.tile] at a time against ascending v-spans,
    each output parking its running sum in its own cell between spans.
    Per output the additions run in strictly increasing v — v-spans in
    order, and within a v-span the u-span boundary splits the v range
    into at most two ascending segments — so the summation order is a
-   function of (t, span) alone: the same for every tile edge, band
-   split and domain. *)
-let kernel ctx (arena : Arena.t) ~sa ~sb result lo hi =
+   function of (t, span) alone: the same for every tile edge, band split
+   and domain. *)
+let kernel ctx (arena : Arena.t) ~sa ~sb ~tilt result lo hi =
   let s = ctx.span and tile = ctx.tile and log2s = ctx.span_log2 in
   let mask = s - 1 in
   let g = gcd sa sb in
   let l = sa / g * sb in
   let aligned = s mod l = 0 in
   let inv_mant = ctx.inv_mant and expo = ctx.expo in
-  let lv = Lattice.values arena.left
-  and rv = Lattice.values arena.right
-  and out = Lattice.values result in
-  let lshift = arena.left_shift in
+  let lv = arena.left
+  and rv = arena.right
+  and out = Lattice.values result
+  and oexp = Lattice.exponents result in
+  let lshift = arena.left_shift and frames = arena.frames in
   (* lint: alloc=v,p,q,acc -- four scratch cells for the whole kernel *)
   let v = ref 0 and p = ref 0. and q = ref 0. and acc = ref 0. in
   for block = 0 to (hi - lo) / tile do
@@ -497,11 +585,16 @@ let kernel ctx (arena : Arena.t) ~sa ~sb result lo hi =
           let split = vbase + (t land mask) in
           let upper = (t - split) lsr log2s in
           let inv_t = Float.Array.unsafe_get inv_mant t in
-          let exp_t = shift_b - Array.unsafe_get expo t in
+          (* how far this v-span's segments sit below the output's frame,
+             before the u-span's shift *)
+          let lift = Array.unsafe_get frames (t lsr log2s) - shift_b in
           acc := Bigarray.Array1.unsafe_get out t;
           for seg = 0 to 1 do
             let seg_end = if seg = 0 then imin last split else last in
-            if !v <= seg_end then begin
+            let below = lift - Array.unsafe_get lshift (upper - seg) in
+            if !v <= seg_end && below >= negligible then
+              v := !v + (((seg_end - !v) / l) + 1) * l
+            else if !v <= seg_end then begin
               (* Two interleaved partial sums halve the add chain; unit
                  steps get their own loop, the common dense case.  Its
                  constant offsets pay: folded into the general loop, it
@@ -540,17 +633,28 @@ let kernel ctx (arena : Arena.t) ~sa ~sb result lo hi =
                      *. Bigarray.Array1.unsafe_get rv !v;
                 v := !v + l
               end;
-              p := !p +. !q;
               acc :=
                 !acc
-                +. scale2 (!p *. inv_t)
-                     (exp_t + Array.unsafe_get lshift (upper - seg))
+                +. (!p +. !q) *. inv_t *. Float.Array.unsafe_get pow2_down below
             end
           done;
           Bigarray.Array1.unsafe_set out t !acc
         end
       done
     done
+  done;
+  (* each output against its frame, normalised (see Lattice) *)
+  for t = lo to hi do
+    let m = Bigarray.Array1.unsafe_get out t in
+    if Float.abs m > 0. then begin
+      let s = exponent_of m in
+      Bigarray.Array1.unsafe_set out t (scale2 m (-s));
+      Bigarray.Array1.unsafe_set oexp t
+        (Int32.of_int
+           (Array.unsafe_get frames (t lsr log2s)
+           + (tilt * t) - Array.unsafe_get expo t + s))
+    end
+    else Bigarray.Array1.unsafe_set oexp t 0l
   done
 
 (* Deterministic band boundaries.  The kernel's cost at output [total]
@@ -575,15 +679,16 @@ let band_lo cap bands i =
 (* Splits one large combine's output lattice into [band_domains] row
    bands dispatched through the persistent {!Band_pool} (band 0 runs on
    the calling domain).  Each band writes a disjoint output range of
-   [result]'s Bigarray (GC-opaque, so domains share it without tearing
-   the runtime) and only reads the operands and tables; every output
-   index is computed by exactly one band with the same per-output term
-   order as the sequential kernel, so the result is bit-identical
+   [result]'s mantissa and exponent Bigarrays (GC-opaque, so domains
+   share them without tearing the runtime), and only reads the operands
+   and tables; every
+   output index is computed by exactly one band with the same per-output
+   term order as the sequential kernel, so the result is bit-identical
    however many domains run.  [counter] is the solve-local banded
    counter of the build/update in flight (contexts are shared
    process-wide, so the context's own running total cannot attribute
    banded combines to one solve). *)
-let combine_banded ctx counter arena ~sa ~sb result =
+let combine_banded ctx counter arena ~sa ~sb ~tilt result =
   let bands = ctx.band_domains in
   (* Bands write disjoint output rows; the rebased operands, their
      shifts and the context tables are read-only during the kernel.  One
@@ -592,35 +697,31 @@ let combine_banded ctx counter arena ~sa ~sb result =
   Band_pool.run ~bands (fun i ->
       let lo = band_lo ctx.cap bands i in
       let hi = band_lo ctx.cap bands (i + 1) - 1 in
-      if lo <= hi then kernel ctx arena ~sa ~sb result lo hi);
+      if lo <= hi then kernel ctx arena ~sa ~sb ~tilt result lo hi);
   Atomic.incr ctx.banded_total;
   if counter != ctx.banded_total then Atomic.incr counter
 
 (* Tilted convolution (A * B)(u+v) = sum A(u) B(v) w1(u,v) w2(u,v).
    Never mutates its operands — tree nodes are shared across re-solves —
-   so the rebased copies (with any pre-scaling needed to keep products
-   representable) live in the per-domain arena; the borrowed chunks are
-   credited back to the result's scale.  The summation order is fixed
-   per output (see [kernel]), so recombining the same operands is
-   bit-identical no matter which solve path — sequential, banded, or
-   pool-mapped — runs.  The result lattice comes from the arena's free
-   list when recycled nodes are available, so a warmed-up update loop
-   allocates nothing on the major heap.  [combine_into] threads the
-   solve-local banded counter; the public [combine] attributes banded
-   combines to the context's running total only. *)
+   so the rebased copies live in the per-domain arena.  The summation
+   order is fixed per output (see [kernel]), so recombining the same
+   operands is bit-identical no matter which solve path — sequential,
+   banded, or pool-mapped — runs.  The result lattice comes from the
+   arena's free list when recycled nodes are available, so a warmed-up
+   update loop allocates nothing on the major heap.  [combine_into]
+   threads the solve-local banded counter; the public [combine]
+   attributes banded combines to the context's running total only. *)
 let combine_into ctx counter a b =
   let sa = Lattice.stride a and sb = Lattice.stride b in
   let arena = Domain.DLS.get ctx.arenas in
-  prechunk arena a b;
-  let ka = arena.Arena.ka and kb = arena.Arena.kb in
-  load_rebased ctx arena.Arena.left arena.Arena.left_shift a ka;
-  load_rebased ctx arena.Arena.right arena.Arena.right_shift b kb;
+  let tilt = tilt_for ctx a b in
+  load_rebased ~tilt ctx arena.Arena.left arena.Arena.left_shift a;
+  load_rebased ~tilt ctx arena.Arena.right arena.Arena.right_shift b;
+  load_frames ctx arena;
   let result = Arena.acquire arena ~cap:ctx.cap ~stride:(gcd sa sb) in
   if ctx.cap >= ctx.band_threshold && ctx.band_domains > 1 then
-    combine_banded ctx counter arena ~sa ~sb result
-  else kernel ctx arena ~sa ~sb result 0 ctx.cap;
-  Lattice.add_scale result (Lattice.scale a + Lattice.scale b + ka + kb);
-  Lattice.normalize result;
+    combine_banded ctx counter arena ~sa ~sb ~tilt result
+  else kernel ctx arena ~sa ~sb ~tilt result 0 ctx.cap;
   result
 
 let combine ctx a b = combine_into ctx ctx.banded_total a b
@@ -630,7 +731,7 @@ let combine ctx a b = combine_into ctx ctx.banded_total a b
    (cap+1)^2 weight grids per call,
      w_i(u, v) = prod_{j<u} (N_i - j - v)/(N_i - j),
    and sums each output in one pass with checked accessors and per-term
-   chunk application — no arena, tables, spans or bands.  Never called
+   exponent arithmetic — no arena, tables, spans or bands.  Never called
    by the solver. *)
 let combine_naive ctx a b =
   let cap = ctx.cap in
@@ -651,42 +752,29 @@ let combine_naive ctx a b =
   let w1 = weight_grid ctx.n1 and w2 = weight_grid ctx.n2 in
   let sa = Lattice.stride a and sb = Lattice.stride b in
   let result = Lattice.create ~stride:(gcd sa sb) ~capacity:cap () in
-  let ka = ref 0 and kb = ref 0 in
-  let ma = ref (Lattice.max_abs a) and mb = ref (Lattice.max_abs b) in
-  while !ma *. !mb > Lattice.rescale_threshold do
-    if !ma >= !mb then begin
-      incr ka;
-      ma := !ma *. Lattice.rescale_factor
-    end
-    else begin
-      incr kb;
-      mb := !mb *. Lattice.rescale_factor
-    end
-  done;
-  let sum = ref 0. and v = ref 0 in
   for total = 0 to cap do
-    sum := 0.;
-    v := 0;
+    let sum = ref (0., 0) and v = ref 0 in
     while !v <= total do
       let u = total - !v in
       if u mod sa = 0 then begin
-        (* Group each operand with its own weight: the weights lie in
-           (0, 1], so neither partial product can overflow, and their
-           product w1*w2 is never formed alone (it can underflow). *)
-        let left = Lattice.apply_chunks (Lattice.get a u) !ka in
-        let right = Lattice.apply_chunks (Lattice.get b !v) !kb in
+        (* Group each operand with its own weight and normalise both
+           before the product: the weights lie in (0, 1], and neither
+           the product of two small mantissas nor w1*w2 alone may
+           underflow. *)
         let cell = (u * cells) + !v in
+        let left = Lattice.mantissa a u *. Float.Array.get w1 cell in
+        let right = Lattice.mantissa b !v *. Float.Array.get w2 cell in
+        let el = exponent_of left and er = exponent_of right in
         sum :=
-          !sum
-          +. (left *. Float.Array.get w1 cell)
-             *. (right *. Float.Array.get w2 cell)
+          accumulate !sum
+            (scale2 left (-el) *. scale2 right (-er))
+            (Lattice.exponent a u + Lattice.exponent b !v + el + er)
       end;
       v := !v + sb
     done;
-    Lattice.set result total !sum
+    let m, e = !sum in
+    Lattice.set_scaled result total m e
   done;
-  Lattice.add_scale result (Lattice.scale a + Lattice.scale b + !ka + !kb);
-  Lattice.normalize result;
   result
 
 (* Physical membership of [l] in [arr] from index [i] — the recycling
@@ -923,88 +1011,117 @@ type t = {
   model : Model.t;
   ctx : context;
   tree : Factor_tree.t;
-  diag : Lattice.t; (* diag.(j) = scaled G(N1 - j, N2 - j) *)
-  log_omega : float; (* stored H = true H * exp log_omega *)
+  diag : Lattice.t; (* diag.(j) = G(N1 - j, N2 - j) *)
+  shifted : Lattice.t option array; (* see [shifted_diagonal] *)
+  rescales : int; (* see [old_scheme_chunks] *)
   measures : Measures.t;
 }
 
 (* The correlation the diagonal and the marginals share:
-     coef * sum_w F(w) R(w) R(x) / R(w + x)
+     coef 2^coef_exp * sum_w F(w) R(w) R(x) / R(w + x)
    over the multiples [w] of [stride] up to [cap - x], with [f] and
-   [shift] holding F rebased span by span (see [load_rebased]).  Each
-   w-span meets at most two spans of w + x; per segment the pre-sum
-   factors are f(w) (below 1) and from_top(w + x) = R(top) / R(w + x)
-   (in (0, 1]), and the one large factor 2^shift R(x) / R(top) is
-   applied after the partial sum by exponent arithmetic, as in
-   [kernel]. *)
-let correlate ctx f shift ~stride ~coef x =
-  let s = ctx.span and cap = ctx.cap in
+   [shift] holding F rebased span by span (see [load_rebased]), stored
+   as entry [i] of [dst].  Each w-span meets at most two spans of w + x;
+   per segment the pre-sum factors are f(w) (below 1) and
+   from_top(w + x) = R(top) / R(w + x) (in (0, 1]), and the one large
+   factor 2^shift R(x) / R(top) is applied after the partial sum by
+   exponent arithmetic, against a frame as in [kernel]. *)
+let correlate ctx (f : Lattice.values) shift ~stride ~coef ~coef_exp dst i x =
+  let s = ctx.span and cap = ctx.cap and expo = ctx.expo in
   let wmax = cap - x in
   let r = x land (s - 1) in
-  let fv = Lattice.values f and from_top = ctx.from_top in
+  let from_top = ctx.from_top in
   let aligned = s mod stride = 0 in
   let coef = coef *. Float.Array.unsafe_get ctx.mant x in
-  let exp_x = Array.unsafe_get ctx.expo x in
+  (* The frame, as in [kernel]: the largest exponent shift - expo(top)
+     of any segment (a w-span meets the y-spans topped at yb + s - 1
+     and, when x is not span-aligned, yb + 2 s - 1). *)
+  let frame = ref zero_shift and wb = ref 0 in
+  while !wb <= wmax do
+    let sh = Array.unsafe_get shift (!wb lsr ctx.span_log2) in
+    let yb = !wb + x - r in
+    frame := imax !frame (sh - Array.unsafe_get expo (imin cap (yb + s - 1)));
+    if r > 0 && yb + s <= cap then
+      frame :=
+        imax !frame (sh - Array.unsafe_get expo (imin cap (yb + (2 * s) - 1)));
+    wb := !wb + s
+  done;
   let sum = ref 0. and p = ref 0. and q = ref 0. and w = ref 0 in
-  let wb = ref 0 in
+  wb := 0;
   while !wb <= wmax do
     let wbase = !wb in
     let span_end = imin wmax (wbase + s - 1) in
-    let exp_w = exp_x + Array.unsafe_get shift (wbase lsr ctx.span_log2) in
+    let lift = !frame - Array.unsafe_get shift (wbase lsr ctx.span_log2) in
     (* the span holding w + x, starting from the one holding wbase + x *)
     let yb = ref (wbase + x - r) in
     w := if aligned then wbase else (wbase + stride - 1) / stride * stride;
     while !w <= span_end do
       let top = imin cap (!yb + s - 1) in
       let seg_end = imin span_end (top - x) in
-      p := 0.;
-      q := 0.;
-      (* Unit stride gets its own loop, as in [kernel]. *)
-      if stride = 1 then
-        while !w < seg_end do
+      let below = lift + Array.unsafe_get expo top in
+      if !w <= seg_end && below >= negligible then
+        w := !w + ((((seg_end - !w) / stride) + 1) * stride)
+      else begin
+        p := 0.;
+        q := 0.;
+        (* Unit stride gets its own loop, as in [kernel]. *)
+        if stride = 1 then
+          while !w < seg_end do
+            p :=
+              !p
+              +. Bigarray.Array1.unsafe_get f !w
+                 *. Float.Array.unsafe_get from_top (!w + x);
+            q :=
+              !q
+              +. Bigarray.Array1.unsafe_get f (!w + 1)
+                 *. Float.Array.unsafe_get from_top (!w + 1 + x);
+            w := !w + 2
+          done
+        else
+          while !w + stride <= seg_end do
+            p :=
+              !p
+              +. Bigarray.Array1.unsafe_get f !w
+                 *. Float.Array.unsafe_get from_top (!w + x);
+            q :=
+              !q
+              +. Bigarray.Array1.unsafe_get f (!w + stride)
+                 *. Float.Array.unsafe_get from_top (!w + stride + x);
+            w := !w + (2 * stride)
+          done;
+        if !w <= seg_end then begin
           p :=
             !p
-            +. Bigarray.Array1.unsafe_get fv !w
+            +. Bigarray.Array1.unsafe_get f !w
                *. Float.Array.unsafe_get from_top (!w + x);
-          q :=
-            !q
-            +. Bigarray.Array1.unsafe_get fv (!w + 1)
-               *. Float.Array.unsafe_get from_top (!w + 1 + x);
-          w := !w + 2
-        done
-      else
-        while !w + stride <= seg_end do
-          p :=
-            !p
-            +. Bigarray.Array1.unsafe_get fv !w
-               *. Float.Array.unsafe_get from_top (!w + x);
-          q :=
-            !q
-            +. Bigarray.Array1.unsafe_get fv (!w + stride)
-               *. Float.Array.unsafe_get from_top (!w + stride + x);
-          w := !w + (2 * stride)
-        done;
-      if !w <= seg_end then begin
-        p :=
-          !p
-          +. Bigarray.Array1.unsafe_get fv !w
-             *. Float.Array.unsafe_get from_top (!w + x);
-        w := !w + stride
+          w := !w + stride
+        end;
+        if below < negligible then
+          sum :=
+            !sum
+            +. (!p +. !q) *. coef
+               *. Float.Array.unsafe_get ctx.inv_mant top
+               *. Float.Array.unsafe_get pow2_down below
       end;
-      p := !p +. !q;
-      sum :=
-        !sum
-        +. scale2
-             (!p *. coef *. Float.Array.unsafe_get ctx.inv_mant top)
-             (exp_w - Array.unsafe_get ctx.expo top);
       yb := !yb + s
     done;
     wb := wbase + s
   done;
-  !sum
+  (* normalised as [Lattice.set_scaled] would, without its call *)
+  let dv = Lattice.values dst and de = Lattice.exponents dst in
+  if Float.abs !sum > 0. then begin
+    let e = exponent_of !sum in
+    Bigarray.Array1.unsafe_set dv i (scale2 !sum (-e));
+    Bigarray.Array1.unsafe_set de i
+      (Int32.of_int (Array.unsafe_get expo x + coef_exp + !frame + e))
+  end
+  else begin
+    Bigarray.Array1.unsafe_set dv i 0.;
+    Bigarray.Array1.unsafe_set de i 0l
+  end
 
 (* One shared diagonal pass serves every class's measures:
-     diag.(j) = scaled G(N1-j, N2-j) = sum_u H(u) w(u, j),
+     diag.(j) = G(N1-j, N2-j) = sum_u H(u) w(u, j),
    since P(N_i - j, u) = P(N_i, u + j) / P(N_i, j) makes the depth-j
    ratio the combine weight R(u) R(j) / R(u + j). *)
 let diagonal ctx h =
@@ -1012,51 +1129,135 @@ let diagonal ctx h =
   (* From the arena free list: a recycled tree's diagonal is re-acquired
      by the next solve of the same shape. *)
   let diag = Arena.acquire arena ~cap:ctx.cap ~stride:1 in
-  Lattice.add_scale diag (Lattice.scale h);
-  load_rebased ctx arena.Arena.left arena.Arena.left_shift h 0;
+  load_rebased ctx arena.Arena.left arena.Arena.left_shift h;
   for j = 0 to ctx.cap do
-    Lattice.set diag j
-      (correlate ctx arena.Arena.left arena.Arena.left_shift
-         ~stride:(Lattice.stride h) ~coef:1. j)
+    correlate ctx arena.Arena.left arena.Arena.left_shift
+      ~stride:(Lattice.stride h) ~coef:1. ~coef_exp:0 diag j j
   done;
   diag
 
+(* Entry [i] of [l] over entry [j] — exact, since the exponents are
+   subtracted before the quotient is scaled. *)
+let ratio l i j =
+  scale2
+    (Lattice.mantissa l i /. Lattice.mantissa l j)
+    (Lattice.exponent l i - Lattice.exponent l j)
+
 (* Unified concurrency chain at reservation depth [d]: the diagonal entry
-   diag.(d + j) is the scaled G(N1-d-j, N2-d-j), i.e. the normalisation
-   of the same model with [d] ports removed from each side — reduced
-   models preserve the per-pair parameters (see Revenue.reduced_model),
-   so one diagonal serves every depth.  The chain walks from the deepest
-   feasible point up to (N1-d, N2-d), applying
+   diag.(d + j) is G(N1-d-j, N2-d-j), i.e. the normalisation of the same
+   model with [d] ports removed from each side — reduced models preserve
+   the per-pair parameters (see Revenue.reduced_model), so one diagonal
+   serves every depth.  The chain walks from the deepest feasible point
+   up to (N1-d, N2-d), applying
    E_r(p) = P(n1-d,a) P(n2-d,a) B_r(p) (rho_r + (beta_r/mu_r) E_r(p - a I)).
-   For Poisson classes the recursion degenerates to
-   E_r = rho_r P(N1-d,a) P(N2-d,a) B_r.  [depth = 0] is the paper's
-   Step 3 measure; deeper values feed the batched shadow costs. *)
-let concurrency_at_depth model diag ~depth r =
+   At diagonal index j = d + m a the factor P(n1-m a,a) P(n2-m a,a) B_r
+   is R(j) / R(j + a) times diag.(j + a) / diag.(j): both ratios are
+   formed as mantissa quotients and one exponent difference, so the
+   step is exact at any bandwidth and depth.  For Poisson classes the
+   recursion degenerates to E_r = rho_r P(N1-d,a) P(N2-d,a) B_r.
+
+   A Bernoulli class (beta < 0) does not take the chain: near source
+   saturation rho + (beta/mu) E is a difference of nearly equal terms
+   whose rounding error each step multiplies by P P B |beta/mu|, so the
+   chain diverges (Algorithm 2's recurrence shares the weakness).  Its
+   [shifted] diagonal instead gives E_r exactly, as a ratio of positive
+   sums (see [shifted_diagonal]).  [depth = 0] is the paper's Step 3
+   measure; deeper values feed the batched shadow costs. *)
+let concurrency_at_depth ctx model diag shifted ~depth r =
   let a = Model.bandwidth model r in
   let rho = Model.rho model r in
   let b_over_mu = Model.beta_over_mu model r in
-  let n1 = Model.inputs model - depth and n2 = Model.outputs model - depth in
-  let cap = min n1 n2 in
+  let cap = min (Model.inputs model) (Model.outputs model) - depth in
   let budget = if cap < 0 then -1 else cap in
-  let e = ref 0. in
-  for m = budget / a downto 0 do
-    let j = depth + (m * a) in
-    let here = Lattice.get diag j in
-    let down = if (m + 1) * a > budget then 0. else Lattice.get diag (j + a) in
-    if here > 0. && Float.is_finite here && Float.is_finite down then begin
-      let non_blocking = down /. here in
-      e :=
-        Special.permutations (n1 - (m * a)) a
-        *. Special.permutations (n2 - (m * a)) a
-        *. non_blocking
-        *. (rho +. (b_over_mu *. !e))
-    end
+  (* P(N1-j, a) P(N2-j, a) num.(j + a) / diag.(j), for j + a within the
+     budget *)
+  let step num j =
+    if j + a > depth + budget then 0.
     else
-      (* A rescale flushed this deep entry; its contribution to the chain
-         is damped by (beta/mu)^m and is negligible at this depth. *)
-      e := 0.
+      scale2
+        (Float.Array.get ctx.mant j /. Float.Array.get ctx.mant (j + a)
+        *. (Lattice.mantissa num (j + a) /. Lattice.mantissa diag j))
+        (ctx.expo.(j) - ctx.expo.(j + a) + Lattice.exponent num (j + a)
+        - Lattice.exponent diag j)
+  in
+  match shifted with
+  | Some num -> rho *. step num depth
+  | None ->
+      let e = ref 0. in
+      for m = budget / a downto 0 do
+        e := step diag (depth + (m * a)) *. (rho +. (b_over_mu *. !e))
+      done;
+      !e
+
+(* The identity behind the Bernoulli path: k C(S, k) = S C(S-1, k-1), so
+   E_r(N) = rho_r P(N1,a) P(N2,a) G'(N - a I) / G(N), where G' is the
+   normalisation with class r's intensity rho shifted to rho + beta/mu
+   (one source fewer).  [shifted_diagonal] computes the diagonal of G':
+   the tree's root path above leaf r recombined over the shifted leaf
+   (O(log R) combines against the untouched siblings), then one
+   diagonal pass; every intermediate goes back to the arena. *)
+let shifted_diagonal ctx (tree : Factor_tree.t) r =
+  let model = tree.Factor_tree.model in
+  let levels = tree.Factor_tree.levels in
+  let leaf =
+    factor_of ctx ~a:(Model.bandwidth model r)
+      ~rho:(Model.rho model r +. Model.beta_over_mu model r)
+      ~theta:(Model.beta_over_mu model r)
+  in
+  let rec climb k i node fresh =
+    if k >= Array.length levels - 1 then (node, fresh)
+    else begin
+      let level = levels.(k) in
+      let sibling = i lxor 1 in
+      if sibling >= Array.length level then climb (k + 1) (i / 2) node fresh
+      else begin
+        let combined =
+          if i land 1 = 0 then combine ctx node level.(sibling)
+          else combine ctx level.(sibling) node
+        in
+        climb (k + 1) (i / 2) combined (combined :: fresh)
+      end
+    end
+  in
+  let root, fresh = climb 0 r leaf [ leaf ] in
+  let diag = diagonal ctx root in
+  List.iter (Arena.release (Domain.DLS.get ctx.arenas)) fresh;
+  diag
+
+(* The paper's Section 6 scheme kept one scale per profile and rescaled
+   by 2^-830 chunks whenever a magnitude passed 1e250 (about 2^830): an
+   entry, or the product of two operands' peaks a combine was about to
+   form.  Nothing is rescaled any more; [old_scheme_chunks] survives as
+   a diagnostic of how deep into that regime a solve sits — the chunks
+   that bring the binary exponent of the root's largest entry, or of
+   the last combine's operand-peak product, to 830 or below (0 for
+   every workload in the paper). *)
+let rescale_bits = 830
+
+(* The binary exponent of a profile's largest entry ([min_int] for the
+   all-zero profile): mantissas are normalised, so its largest
+   exponent. *)
+let peak_exponent l =
+  let v = Lattice.values l and e = Lattice.exponents l in
+  let top = ref min_int in
+  for u = 0 to Lattice.capacity l do
+    if Float.abs (Bigarray.Array1.unsafe_get v u) > 0. then
+      top := imax !top (Int32.to_int (Bigarray.Array1.unsafe_get e u))
   done;
-  !e
+  !top
+
+let old_scheme_chunks (tree : Factor_tree.t) =
+  let levels = tree.Factor_tree.levels in
+  let depth = Array.length levels - 1 in
+  let operands =
+    if depth = 0 then min_int
+    else
+      let a = peak_exponent levels.(depth - 1).(0)
+      and b = peak_exponent levels.(depth - 1).(1) in
+      if a > min_int && b > min_int then a + b else min_int
+  in
+  let worst = imax operands (peak_exponent levels.(depth).(0)) in
+  if worst <= rescale_bits then 0 else (worst - 1) / rescale_bits
 
 let of_tree (tree : Factor_tree.t) =
   let model = tree.Factor_tree.model in
@@ -1064,36 +1265,56 @@ let of_tree (tree : Factor_tree.t) =
   let h = Factor_tree.root tree in
   let diag = diagonal ctx h in
   let num_classes = Model.num_classes model in
-  let corner = Lattice.get diag 0 in
+  let shifted =
+    Array.init num_classes (fun r ->
+        if Model.beta_over_mu model r < 0. then
+          Some (shifted_diagonal ctx tree r)
+        else None)
+  in
   let non_blocking =
     Array.init num_classes (fun r ->
         let a = Model.bandwidth model r in
         if Model.inputs model < a || Model.outputs model < a then 0.
-        else Lattice.get diag a /. corner)
+        else ratio diag a 0)
   in
   let concurrency =
     Array.init num_classes (fun r ->
-        concurrency_at_depth model diag ~depth:0 r)
+        concurrency_at_depth ctx model diag shifted.(r) ~depth:0 r)
   in
   let measures = Measures.of_concurrencies ~model ~non_blocking ~concurrency in
-  { model; ctx; tree; diag; log_omega = Lattice.log_scale h; measures }
+  {
+    model;
+    ctx;
+    tree;
+    diag;
+    shifted;
+    rescales = old_scheme_chunks tree;
+    measures;
+  }
+
+(* The diagonals a solve owns, besides its tree nodes. *)
+let release_diagonals arena t =
+  Arena.release arena t.diag;
+  for r = 0 to Array.length t.shifted - 1 do
+    match t.shifted.(r) with Some d -> Arena.release arena d | None -> ()
+  done
 
 let solve ?map model = of_tree (Factor_tree.build ?map model)
 
 let solve_delta ?(recycle = false) ~previous model =
   let tree = Factor_tree.update ~recycle previous.tree model in
   (* The caller promised to drop [previous] entirely, and the fresh
-     diagonal below is computed from the updated tree, so the previous
-     solve's diagonal can seed the free list first. *)
+     diagonals below are computed from the updated tree, so the previous
+     solve's diagonals can seed the free list first. *)
   if recycle then
-    Arena.release (Domain.DLS.get previous.ctx.arenas) previous.diag;
+    release_diagonals (Domain.DLS.get previous.ctx.arenas) previous;
   of_tree tree
 
 (* Returns every lattice a dropped solve owns to the current domain's
    free list for this context: all leaves, every internal node that is a
    combine result of its own (a trailing odd node is a physical alias of
    its child, carried upward, so releasing it once at its home position
-   is both necessary and sufficient), and the diagonal.  The caller must
+   is both necessary and sufficient), and the diagonals.  The caller must
    guarantee nothing else references [t] — e.g. a serve registry entry
    evicted once the batch that evicted it has fully drained. *)
 let recycle t =
@@ -1110,7 +1331,7 @@ let recycle t =
       if (2 * j) + 1 <= children - 1 then Arena.release arena level.(j)
     done
   done;
-  Arena.release arena t.diag
+  release_diagonals arena t
 
 let solve_incremental ~previous ~class_index model =
   let num_classes = Model.num_classes model in
@@ -1145,29 +1366,29 @@ let concurrencies_at_depth t ~depth =
   if depth < 0 || depth > t.ctx.cap then
     invalid_arg "Convolution.concurrencies_at_depth: depth outside diagonal";
   Array.init (Model.num_classes t.model) (fun r ->
-      concurrency_at_depth t.model t.diag ~depth r)
+      concurrency_at_depth t.ctx t.model t.diag t.shifted.(r) ~depth r)
 
 (* Marginal weights for one class against its complement product: with
    T = H_{-r} and C = C_r,
      p(k_r = m) ∝ C(m a) sum_w T(w) w(m a, w),
-   one [correlate] per [m].  All scale exponents (leaf, complement,
-   borrowed chunks) are constant across [m], so they cancel in the
-   normalisation. *)
+   one [correlate] per [m], each weight kept as a mantissa and an
+   exponent until the largest is known; the weights are then scaled
+   against it, so only those below 2^-1074 of the peak read as zero. *)
 let marginal_weights ctx own comp =
   let a = Lattice.stride own in
   let arena = Domain.DLS.get ctx.arenas in
-  prechunk arena own comp;
-  let ka = arena.Arena.ka in
-  load_rebased ctx arena.Arena.right arena.Arena.right_shift comp
-    arena.Arena.kb;
-  Array.init
-    ((ctx.cap / a) + 1)
-    (fun m ->
-      let u = m * a in
-      correlate ctx arena.Arena.right arena.Arena.right_shift
-        ~stride:(Lattice.stride comp)
-        ~coef:(Lattice.apply_chunks (Lattice.get own u) ka)
-        u)
+  load_rebased ctx arena.Arena.right arena.Arena.right_shift comp;
+  let last = ctx.cap / a in
+  let w = Lattice.create ~capacity:last () in
+  for m = 0 to last do
+    let u = m * a in
+    correlate ctx arena.Arena.right arena.Arena.right_shift
+      ~stride:(Lattice.stride comp) ~coef:(Lattice.mantissa own u)
+      ~coef_exp:(Lattice.exponent own u) w m u
+  done;
+  let peak = peak_exponent w in
+  Array.init (last + 1) (fun m ->
+      scale2 (Lattice.mantissa w m) (Lattice.exponent w m - peak))
 
 let per_class_distributions t =
   let complements = Factor_tree.leave_one_out t.tree in
@@ -1178,10 +1399,13 @@ let per_class_distributions t =
       Measures.distribution_of_weights ~model:t.model ~class_index:r ~weights)
     complements
 
+let log_two = Logspace.log_checked 2.
+
 (* G(n1, n2) = sum_u H(u) P(n1, u) P(n2, u); with H stored tilted,
    each term is H(u) P(n1, u) P(n2, u) R(u).  The falling factorials
-   run as a mantissa/exponent chain against the R table, so no term
-   underflows before the sum unless its true value does. *)
+   run as a mantissa/exponent chain against the R table and the sum
+   carries a running exponent, so every lattice point — G(0, 0) = 1 as
+   much as the corner — is exact. *)
 let log_g t ~inputs ~outputs =
   if
     inputs < 0 || outputs < 0
@@ -1190,39 +1414,23 @@ let log_g t ~inputs ~outputs =
   then invalid_arg "Convolution.log_g: outside lattice";
   let ctx = t.ctx in
   let h = Factor_tree.root t.tree in
-  let sum = ref 0. and pm = ref 1. and pe = ref 0 in
+  let sum = ref (0., 0) and pm = ref 1. and pe = ref 0 in
   for u = 0 to min inputs outputs do
     if u > 0 then begin
-      let m, e =
-        Float.frexp (!pm *. float_of_int ((inputs - u + 1) * (outputs - u + 1)))
-      in
-      pm := m;
-      pe := !pe + e
+      pm := !pm *. float_of_int ((inputs - u + 1) * (outputs - u + 1));
+      let s = exponent_of !pm in
+      pm := scale2 !pm (-s);
+      pe := !pe + s
     end;
     sum :=
-      !sum
-      +. Float.ldexp
-           (Lattice.get h u *. !pm *. Float.Array.get ctx.mant u)
-           (!pe + ctx.expo.(u))
+      accumulate !sum
+        (Lattice.mantissa h u *. !pm *. Float.Array.get ctx.mant u)
+        (!pe + ctx.expo.(u) + Lattice.exponent h u)
   done;
-  (* G(n1, n2) >= 1 for every feasible lattice point (the empty state
-     always contributes), so a non-positive scaled value can only mean
-     dynamic rescaling flushed the contributing entries: the point sits
-     so many orders of magnitude below the corner that [G * omega]
-     underflowed.  Propagating [log 0. = -inf] here silently corrupts
-     downstream blocking and revenue arithmetic, so refuse instead. *)
-  if not (!sum > 0.) then
-    failwith
-      (Printf.sprintf
-         "Convolution.log_g: lattice entry (%d, %d) was flushed to zero by \
-          %d dynamic rescale(s); it lies too far below G(%d, %d) to \
-          represent.  Solve a model of that size directly, or use \
-          Mva.log_normalization"
-         inputs outputs (Lattice.scale h) (Model.inputs t.model)
-         (Model.outputs t.model));
-  Logspace.log_checked !sum -. t.log_omega
+  let m, e = !sum in
+  Logspace.log_checked m +. (float_of_int e *. log_two)
 
 let log_normalization t =
   log_g t ~inputs:(Model.inputs t.model) ~outputs:(Model.outputs t.model)
 
-let rescale_count t = Lattice.scale t.diag
+let rescale_count t = t.rescales

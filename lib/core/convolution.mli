@@ -1,6 +1,7 @@
 (** Algorithm 1: the convolution solution of the normalisation function
-    (paper Section 5, with the dynamic scaling of Section 6), in
-    class-factored form over a balanced combine tree.
+    (paper Section 5), in class-factored form over a balanced combine
+    tree, with one binary exponent per lattice entry in place of the
+    paper's Section 6 dynamic scaling.
 
     The paper's recurrence acts on [Q(N) = G(N)/(N1! N2!)].  Matching
     coefficients shows [G] factors per class:
@@ -8,9 +9,13 @@
     [H = h_1 * ... * h_R] a one-dimensional convolution over used
     bandwidth of per-class generating sequences (DESIGN.md,
     "Class-factored convolution").  Each factor is held corner-tilted
-    in a flat {!Lattice} profile with its own Section 6 rescale
-    exponent.  The factors are multiplied along one fixed shape — the
-    balanced binary {!Factor_tree} — which {e is} the solver: a full
+    in a flat {!Lattice} profile whose every entry carries its own
+    binary exponent: the root [H] of an R=4 solve at cap 512 spans some
+    600 decades, which no single scale per profile can hold, so the
+    solver is exact at every capacity and every entry — [G(0,0) = 1]
+    as much as the corner.  The factors are multiplied along one fixed
+    shape — the balanced binary {!Factor_tree} — which {e is} the
+    solver: a full
     solve combines bottom-up ([R - 1] combines), a re-solve after
     changing any subset of classes recombines only the changed leaves'
     root paths ([O(#changed log R)] combines), and both walk identical
@@ -34,13 +39,12 @@
     context [O(cap)] tables). *)
 
 (** Per-domain scratch for the combine hot path: two operand-sized
-    profiles for rebased copies with their per-span exponents, the chunk
-    counts of the current prechunk, and a free list of result-sized
-    profiles recycled by [Factor_tree.update ~recycle] and the
-    leave-one-out sweep.  Arenas are reached through a [Domain.DLS] key
-    held by the context, so combines issued concurrently — by the banded
-    kernel's own domains or an [Engine.Pool] mapper — never share
-    scratch. *)
+    arrays for rebased copies with their per-span exponents, and a free
+    list of result-sized profiles recycled by
+    [Factor_tree.update ~recycle] and the leave-one-out sweep.  Arenas
+    are reached through a [Domain.DLS] key held by the context, so
+    combines issued concurrently — by the banded kernel's own domains or
+    an [Engine.Pool] mapper — never share scratch. *)
 module Arena : sig
   type t
 
@@ -123,10 +127,13 @@ val combine : context -> Lattice.t -> Lattice.t -> Lattice.t
 (** The tilted convolution
     [(A * B)(u+v) = sum A(u) B(v) w1(u,v) w2(u,v)], as the solver runs
     it.  The weights are applied in separable form: operands are copied
-    into arena scratch rebased to their span bases, each (u-span,
-    v-span) pair of an output contributes a unit-stride dot product of
-    ratios [<= 1], and its one large factor [R(ub) R(vb) / R(u+v)] is
-    applied after the partial sum by exponent arithmetic.  The result
+    into arena scratch rebased to their span bases (each entry's own
+    exponent folded in, and both operands tilted by one common
+    [2^-tilt u] that flattens steep profiles), each (u-span, v-span)
+    pair of an output contributes a unit-stride dot product of ratios
+    [<= 1], and its one large factor [R(ub) R(vb) / R(u+v)] is applied
+    after the partial sum by exponent arithmetic, against the output's
+    frame (pairs too far below it to register are skipped).  The result
     is an arena profile, banded across domains at or above the
     context's threshold.  Operands are never mutated.  Each output
     accumulates its terms in strictly increasing [v], grouped by spans
@@ -140,15 +147,15 @@ val combine_naive : context -> Lattice.t -> Lattice.t -> Lattice.t
 (** The reference combine, a self-contained oracle for {!combine} in
     tests and benchmarks: it builds its own [(cap+1)^2] weight grids per
     call and sums each output in one pass with checked accessors,
-    per-term chunk application and a fresh result — no tables, spans,
+    per-term exponent arithmetic and a fresh result — no tables, spans,
     arena or bands.  [O(cap^2)] memory per call.  Never called by the
     solver. *)
 
 (** The balanced combine tree over tilted class factors.  Leaves are the
     per-class profiles [C_r] in class order; each internal node caches
-    the tilted convolution of its children together with its rescale
-    exponent.  A trailing odd node at any level is carried upward by
-    physical sharing, so a build performs exactly [R - 1] combines. *)
+    the tilted convolution of its children.  A trailing odd node at any
+    level is carried upward by physical sharing, so a build performs
+    exactly [R - 1] combines. *)
 module Factor_tree : sig
   type t
 
@@ -158,9 +165,7 @@ module Factor_tree : sig
       constructions of each level and may run them in parallel — e.g.
       [Engine.Sweep.parallel_solve] passes a {!Engine.Pool} mapper.  The
       result is a pure function of the model alone: any [map] that
-      returns element [i] = [f i] yields bit-identical trees.
-      @raise Failure if a single recurrence step overflows even after
-      rescaling (pathological bandwidths); use {!Mva} in that regime. *)
+      returns element [i] = [f i] yields bit-identical trees. *)
 
   val update : ?recycle:bool -> t -> Model.t -> t
   (** [update t model] re-solves after {e any} per-class change: leaves
@@ -168,8 +173,7 @@ module Factor_tree : sig
       rebuilt and only their ancestor paths recombined —
       [O(#changed log R)] combines, against unchanged nodes shared
       physically with [t] (which is never mutated).  Bit-identical to
-      [build model] at every node, for any subset of changed classes,
-      including in the dynamic-rescaling regime.
+      [build model] at every node, for any subset of changed classes.
 
       [~recycle:true] additionally promises that the caller drops [t]:
       every node the update replaces (changed leaves and the recombined
@@ -179,8 +183,7 @@ module Factor_tree : sig
       never the returned tree, which shares only untouched nodes.
       Default [false].
       @raise Invalid_argument if the switch dimensions or class count
-      differ (no factor state can be shared).
-      @raise Failure as {!build}. *)
+      differ (no factor state can be shared). *)
 
   val leave_one_out : t -> Lattice.t array
   (** All leave-one-out complements [H_{-r} = prod_{s<>r} C_s] in one
@@ -220,13 +223,19 @@ module Factor_tree : sig
 end
 
 type t
-(** A solved model: the factor tree and the measure diagonal. *)
+(** A solved model: the factor tree, the measure diagonal, and for each
+    Bernoulli class the diagonal of the model with one source fewer. *)
 
 val solve : ?map:((int -> Lattice.t) -> int -> Lattice.t array) -> Model.t -> t
 (** Builds the factor tree (see {!Factor_tree.build}, including the
     parallel [map] hook) and derives all measures from one shared
-    diagonal pass.
-    @raise Failure as {!Factor_tree.build}. *)
+    diagonal pass.  A Bernoulli class's [E_r] does not take the paper's
+    Step 3 recurrence, which diverges near source saturation (a
+    difference of nearly equal terms, amplified every step — {!Mva}
+    shares the weakness): it is read exactly off the diagonal of the
+    model with that class's intensity shifted by [beta/mu] (one source
+    fewer, [k C(S,k) = S C(S-1,k-1)]), at [O(log R)] extra combines and
+    one diagonal pass per Bernoulli class. *)
 
 val solve_delta : ?recycle:bool -> previous:t -> Model.t -> t
 (** [solve_delta ~previous model] re-solves [model] through
@@ -235,17 +244,16 @@ val solve_delta : ?recycle:bool -> previous:t -> Model.t -> t
     [solve model] — same measures, same [log_g] on every lattice point,
     same {!rescale_count}.  [~recycle] is {!Factor_tree.update}'s: with
     [true] the caller promises to drop [previous] entirely — its
-    replaced tree nodes {e and its measure diagonal} go back to the
-    arena free list (the solved measures, already extracted as floats,
-    stay valid).
+    replaced tree nodes {e and its diagonals} go back to the arena free
+    list (the solved measures, already extracted as floats, stay
+    valid).
     @raise Invalid_argument if the switch dimensions or class count
-    differ.
-    @raise Failure as {!solve}. *)
+    differ. *)
 
 val recycle : t -> unit
 (** Returns every lattice a dropped solve owns — all leaves, every
     internal combine result (trailing-carry aliases are released once,
-    at their home position), and the measure diagonal — to the calling
+    at their home position), and the diagonals — to the calling
     domain's arena free list for its context.  Contexts are shared
     process-wide per switch shape, so the next build of that shape
     acquires the recycled profiles instead of allocating.  The caller
@@ -259,8 +267,7 @@ val solve_incremental : previous:t -> class_index:int -> Model.t -> t
     callers that want the stricter validation.
     @raise Invalid_argument if the switch dimensions or class count
     differ, [class_index] is out of range, or any {e other} class
-    differs from [previous]'s model (exact, bit-level comparison).
-    @raise Failure as {!solve}. *)
+    differs from [previous]'s model (exact, bit-level comparison). *)
 
 val model : t -> Model.t
 
@@ -285,14 +292,14 @@ val per_class_distributions : t -> Measures.distribution array
     [r]'s weights are [C_r(j a_r) . H_{-r}] contracted through the
     separable corner weights, normalised over [j].  [O(R)] combines total
     instead of [R] independent solves; agrees with
-    {!Occupancy.class_distribution} to rounding.
-    @raise Failure if dynamic rescaling flushed an entire marginal (the
-    distribution lies too far below the corner to represent). *)
+    {!Occupancy.class_distribution} to rounding.  Each class's weights
+    carry exponents until the largest is known, so only probabilities
+    below [2^-1074] of the mode read as zero. *)
 
 val concurrencies_at_depth : t -> depth:int -> float array
 (** [concurrencies_at_depth t ~depth] evaluates every class's expected
     concurrency [E_r] on the reduced switch [(N1 - depth) x (N2 - depth)]
-    {e from the already-solved diagonal}: reduced models preserve the
+    {e from the already-solved diagonals}: reduced models preserve the
     per-pair BPP parameters, so [G_reduced(j) = diag.(depth + j)] and no
     re-solve is needed.  [depth = 0] reproduces the measures of {!solve}
     bit for bit; positive depths power {!Revenue.shadow_costs}, all [R]
@@ -301,18 +308,18 @@ val concurrencies_at_depth : t -> depth:int -> float array
 
 val log_g : t -> inputs:int -> outputs:int -> float
 (** [log G(n1, n2)], evaluated from the factored form in [O(cap)]
-    against the context's [R] table, with the falling factorials carried
-    as mantissa and exponent.
-    Entries near the corner — the ones measures use — are always exact.
-    @raise Invalid_argument outside the lattice.
-    @raise Failure if dynamic rescaling flushed the requested entry to
-    zero (it lies hundreds of orders of magnitude below the corner); the
-    sentinel [neg_infinity] is never returned, so downstream arithmetic
-    cannot be corrupted silently. *)
+    against the context's [R] table, with the falling factorials and the
+    sum carried as mantissa and exponent: exact at every lattice point,
+    however far below the corner ([log_g ~inputs:0 ~outputs:0 = 0.]).
+    @raise Invalid_argument outside the lattice. *)
 
 val log_normalization : t -> float
 (** [log G(N1, N2)]. *)
 
 val rescale_count : t -> int
-(** Number of adaptive rescale chunks folded into [H] across all partial
-    products (0 for all workloads in the paper). *)
+(** A diagnostic of how deep a solve sits in the regime the paper's
+    Section 6 scheme had to rescale: the number of 830-bit chunks the
+    root's largest entry, or the product of the last combine's operand
+    peaks, would have needed to come below [1e250] (about [2^830]).
+    Nothing is rescaled; 0 for every workload in the paper.
+    Bit-identical between {!solve} and {!solve_delta}. *)

@@ -1,109 +1,85 @@
-(** Flat [Bigarray] storage for the convolution solver's scaled
-    sequences (paper Section 6 dynamic rescaling, tracked per partial
-    product).
+(** Flat storage for the convolution solver's profiles, one binary
+    exponent per entry.
 
     The class-factored form of Algorithm 1 (see DESIGN.md,
     "Class-factored convolution") works on one-dimensional profiles over
     used bandwidth [u = 0 .. capacity] rather than the full
     [(N1+1) x (N2+1)] lattice.  Each profile carries
 
-    - a flat unboxed [float64] [Bigarray.Array1] of values (no per-row
-      indirection, GC-opaque, and safe for several domains to write
-      disjoint index ranges of — the banded combine kernel relies on
-      both properties);
+    - a flat unboxed [float64] [Bigarray.Array1] of mantissas (no
+      per-row indirection, GC-opaque, and safe for several domains to
+      write disjoint index ranges of — the banded combine kernel relies
+      on both properties);
+    - a flat [int32] [Bigarray.Array1] of binary exponents, one per
+      entry (GC-opaque and shareable across domains like the
+      mantissas): entry [u] is
+      [mantissa u * 2^(exponent u)].  A profile's entries can span
+      thousands of decades (the root of an R=4 solve at cap 512 reaches
+      [2^1985] while its entry 0 is 1), far beyond one double's range,
+      and no entry is ever held relative to another's magnitude, so none
+      is flushed however far its neighbours sit above it.  Nonzero
+      mantissas are normalised to [\[0.5, 1)] (zero entries have
+      exponent 0), so an entry's exponent alone bounds it: the kernels
+      rebase and compare magnitudes on exponents;
     - a [stride]: entries are guaranteed zero except at multiples of it
       (a class of bandwidth [a] only populates multiples of [a]), which
-      combine loops exploit;
-    - an integer [scale]: the stored values are the true values times
-      [rescale_factor ^ scale].  Scales add when two profiles are
-      convolved, so the Section 6 rescale is tracked per partial product
-      and cancelled only when a measure ratio is formed. *)
+      combine loops exploit. *)
 
 type t
 
 type values =
   (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** A profile's entries: flat, unboxed and GC-opaque. *)
-
-val rescale_threshold : float
-(** Magnitudes above this trigger an adaptive rescale ([1e250]). *)
-
-val rescale_factor : float
-(** One rescale chunk, [2^-830] — a power of two, so rescaling is exact
-    in the significand and only the exponent moves. *)
-
-val rescale_bits : int
-(** [830]: the binary exponent one chunk removes, for kernels that fold
-    chunks into exponent arithmetic instead of multiplying them in. *)
+(** A profile's mantissas: flat, unboxed and GC-opaque. *)
 
 val create : ?stride:int -> capacity:int -> unit -> t
-(** All-zero profile over [0 .. capacity] with [scale = 0].  [stride]
-    defaults to 1.
+(** All-zero profile over [0 .. capacity] with every exponent [0].
+    [stride] defaults to 1.
     @raise Invalid_argument if [capacity < 0] or [stride < 1]. *)
 
 val capacity : t -> int
 
 val values : t -> values
-(** The backing store itself, entries [0 .. capacity], for kernels that
+(** The mantissa store itself, entries [0 .. capacity], for kernels that
     hoist it out of their inner loops (its element type is statically
-    known there, so accesses compile to plain loads and stores).  Writing
-    through it changes entries only: keeping [stride] and [scale]
-    consistent with them is the caller's job. *)
+    known there, so accesses compile to plain loads and stores).
+    Writing through it changes mantissas only: keeping [stride], the
+    exponents and the [\[0.5, 1)] normalisation consistent with them is
+    the caller's job. *)
+
+type exponents =
+  (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** A profile's binary exponents (32 bits: a third of each entry's
+    storage, and room for lattices up to tens of millions of ports). *)
+
+val exponents : t -> exponents
+(** The exponent store itself, hoisted like {!values}. *)
 
 val stride : t -> int
 
-val scale : t -> int
-(** Number of [rescale_factor] chunks folded into the stored values. *)
+val mantissa : t -> int -> float
+(** Bounds-checked read of entry [u]'s mantissa.
+    @raise Invalid_argument out of bounds. *)
 
-val get : t -> int -> float
-(** Bounds-checked read. @raise Invalid_argument out of bounds. *)
+val unsafe_mantissa : t -> int -> float
+(** Unchecked {!mantissa} for loops whose index ranges are established
+    once per pass; out-of-range indices are undefined behaviour. *)
+
+val exponent : t -> int -> int
+(** Bounds-checked read of entry [u]'s binary exponent.
+    @raise Invalid_argument out of bounds. *)
 
 val set : t -> int -> float -> unit
-(** Bounds-checked write. @raise Invalid_argument out of bounds. *)
+(** [set t u x] stores [x] itself ([set_scaled t u x 0]).
+    @raise Invalid_argument out of bounds. *)
 
-val unsafe_get : t -> int -> float
-(** Unchecked read for kernel inner loops whose index ranges are
-    established once per pass; out-of-range indices are undefined
-    behaviour.  Use {!get} everywhere else. *)
-
-val unsafe_set : t -> int -> float -> unit
-(** Unchecked write; see {!unsafe_get}. *)
+val set_scaled : t -> int -> float -> int -> unit
+(** [set_scaled t u m e] stores [m * 2^e], normalising the mantissa.
+    [m] must be finite.
+    @raise Invalid_argument out of bounds. *)
 
 val reset : ?stride:int -> t -> unit
-(** Zeroes every entry and resets [scale] to [0] and [stride] to the
-    given value (default 1), making the profile indistinguishable from a
-    fresh {!create} of the same capacity — the recycling primitive
-    behind [Convolution.Arena].
+(** Zeroes every mantissa and exponent and resets [stride] to the given
+    value (default 1), making the profile indistinguishable from a fresh
+    {!create} of the same capacity — the recycling primitive behind
+    [Convolution.Arena].
     @raise Invalid_argument if [stride < 1]. *)
-
-val max_abs : t -> float
-(** Largest absolute entry (0. for the all-zero profile). *)
-
-val add_scale : t -> int -> unit
-(** Bookkeeping only: credits [k] chunks to [scale] without touching the
-    values (used when a combine pre-applied chunks to its operands).
-    @raise Invalid_argument if [k < 0]. *)
-
-val apply_chunks : float -> int -> float
-(** [apply_chunks x k] multiplies [x] by {!rescale_factor} [k] times,
-    one multiplication at a time ([rescale_factor]² underflows, so the
-    chunks cannot be collapsed into one factor) — the same left-to-right
-    sequence as [k] successive {!rescale} passes, hence bit-identical
-    per entry. *)
-
-val rescale : t -> unit
-(** Multiplies every entry by {!rescale_factor} once and increments
-    [scale]. *)
-
-val normalize : t -> unit
-(** Rescales until [max_abs t <= rescale_threshold].  The chunk count is
-    computed from one [max_abs] scan and a [frexp] of the maximum (exact
-    — each chunk shifts the binary exponent by exactly 830 while the
-    value stays normal), then applied in a single pass; bit-identical to
-    repeated whole-lattice {!rescale} sweeps.  Non-finite maxima are
-    left untouched: no chunk count can bring them below the
-    threshold. *)
-
-val log_scale : t -> float
-(** [scale * log rescale_factor] — the log of the factor by which stored
-    values exceed true values (non-positive). *)

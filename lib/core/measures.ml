@@ -101,9 +101,7 @@ let distribution_of_weights ~model ~class_index ~weights =
   let total = Array.fold_left ( +. ) 0. weights in
   if not (total > 0.) then
     failwith
-      "Measures.distribution_of_weights: the marginal's weights sum to zero \
-       (dynamic rescaling flushed every term); solve a smaller model or use \
-       Occupancy.class_distribution";
+      "Measures.distribution_of_weights: the marginal's weights sum to zero";
   let probabilities = Array.map (fun w -> w /. total) weights in
   let mean = ref 0. in
   Array.iteri

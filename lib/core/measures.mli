@@ -55,7 +55,6 @@ val distribution_of_weights :
     a {!distribution}; any common scale factor cancels.
     @raise Invalid_argument on an out-of-range class index, an empty
     vector, or a negative/non-finite weight.
-    @raise Failure if the weights sum to zero (dynamic rescaling flushed
-    the marginal). *)
+    @raise Failure if the weights sum to zero. *)
 
 val pp : Format.formatter -> t -> unit

@@ -2,15 +2,21 @@
 
 type algorithm =
   | Brute_force  (** direct enumeration of [Gamma(N)] — validation only *)
-  | Convolution  (** the paper's Algorithm 1 (with dynamic scaling) *)
+  | Convolution
+      (** the paper's Algorithm 1, with one binary exponent per lattice
+          entry in place of its Section 6 dynamic scaling *)
   | Mean_value  (** the paper's Algorithm 2 (ratio recurrences) *)
 
 val algorithm_of_string : string -> (algorithm, string) result
 val algorithm_to_string : algorithm -> string
 
 val recommended : Model.t -> algorithm
-(** The paper's guidance: Algorithm 1 for small crossbars
-    ([min(N1,N2) <= 32]), Algorithm 2 for larger ones. *)
+(** {!Convolution} for every model.  The paper recommends Algorithm 1
+    only up to [min(N1,N2) = 32], because its single Section 6 scale per
+    lattice cannot hold larger ones; with per-entry exponents it is exact
+    at every capacity, and on the separable kernel it runs 18-42x faster
+    than Algorithm 2 from cap 128 up (DESIGN.md, "Choosing a solver").
+    {!Mean_value} remains available by name as the independent oracle. *)
 
 type solution = {
   algorithm : algorithm;  (** the algorithm that actually ran *)
@@ -20,7 +26,8 @@ type solution = {
       (** lattice points computed: [(N1+1)(N2+1)] for the two
           recurrence algorithms, [0] for enumeration *)
   rescales : int;
-      (** {!Convolution} dynamic-rescale events; [0] for the others *)
+      (** {!Convolution.rescale_count}: how many Section 6 rescale chunks
+          the solve would have needed; [0] for the others *)
   tree_combines : int;
       (** pairwise factor-tree combines the {!Convolution} solve
           performed ([R - 1] for a full build, [O(#changed log R)] for a

@@ -125,6 +125,8 @@ module Memo = struct
             t.misses <- t.misses + 1;
             None)
 
+  let remove t key = locked t (fun () -> Hashtbl.remove t.table key)
+
   let mem t key =
     (* A residency probe, not a use: neither counter moves and the
        entry's recency is untouched, so callers can inspect the table

@@ -71,6 +71,11 @@ module Memo : sig
       Neither a hit nor a miss is counted — [set] is a write, not a
       lookup. *)
 
+  val remove : 'a t -> key -> unit
+  (** Drops [key]'s entry, if resident.  No counter moves and
+      [on_evict] does not fire: like {!clear}, an explicit drop is not
+      an eviction. *)
+
   val clear : 'a t -> unit
   (** Drops every entry {e and} resets the statistics: [hits], [misses]
       and [evictions] return to 0 (so [hit_rate] describes only

@@ -2,9 +2,9 @@
 
     Every solve the engine performs is recorded: what ran, how long it
     took on the wall clock, how much lattice work it implied, how many
-    dynamic rescales the convolution needed, and whether the result came
-    from the cache.  Records render to the JSON schema documented in
-    DESIGN.md ("Telemetry schema") and consumed by
+    Section 6 rescale chunks the convolution would have needed, and
+    whether the result came from the cache.  Records render to the JSON
+    schema documented in DESIGN.md ("Telemetry schema") and consumed by
     [bench/main.exe --json]. *)
 
 type solve = {

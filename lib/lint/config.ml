@@ -95,11 +95,10 @@ let default =
     hot_roots =
       [
         "Convolution.combine"; "Convolution.update";
-        "Convolution.leave_one_out"; "Lattice.get"; "Lattice.set";
-        "Lattice.unsafe_get"; "Lattice.unsafe_set"; "Lattice.reset";
-        "Lattice.max_abs"; "Lattice.rescale"; "Lattice.normalize";
-        "Lattice.add_scale"; "Lattice.apply_chunks"; "Kahan.add";
-        "Kahan.total"; "Kahan.sum"; "Kahan.dot";
+        "Convolution.leave_one_out"; "Lattice.mantissa";
+        "Lattice.unsafe_mantissa"; "Lattice.exponent"; "Lattice.set";
+        "Lattice.set_scaled"; "Lattice.reset"; "Kahan.add"; "Kahan.total";
+        "Kahan.sum"; "Kahan.dot";
       ];
     r12_boundaries =
       [
@@ -115,7 +114,7 @@ let default =
       ];
     r13_linear_producers =
       [ "Logspace.to_float"; "Logspace.exp_log"; "Logspace.ratio" ];
-    r13_mantissa_producers = [ "Lattice.get"; "Lattice.unsafe_get" ];
+    r13_mantissa_producers = [ "Lattice.mantissa"; "Lattice.unsafe_mantissa" ];
     doc_coverage_threshold = 0.9;
     doc_coverage_paths = [ "lib/lint"; "lib/lint_typed"; "lib/serve" ];
   }

@@ -65,7 +65,9 @@ let recycle_evicted t =
 let find t name = Memo.find t.memo name
 let replace t ~name entry = Memo.set t.memo name entry
 
-let install t ~name model =
+let remove t name = Memo.remove t.memo name
+
+let solve t ~name model =
   (* The lookup counts toward hit/miss statistics like any other: a
      warm install that reuses the resident tree is exactly the reuse
      the counters are meant to expose. *)
@@ -77,8 +79,9 @@ let install t ~name model =
       ->
         (* [solve_delta ~recycle:true] returns the previous tree's
            superseded lattices to the arenas as it rebuilds; the old
-           entry is dropped by [Memo.set] below, so nothing reads it
-           again (names shard trees — no cross-name sharing). *)
+           entry is dropped when the caller stores the new one, so
+           nothing reads it again (names shard trees — no cross-name
+           sharing). *)
         (Convolution.solve_delta ~recycle:true ~previous model, true)
     | Some { solved = previous; _ } ->
         (* Shape-changed reinstall: the resident tree is unreachable
@@ -87,7 +90,10 @@ let install t ~name model =
         (Convolution.solve model, false)
     | None -> (Convolution.solve model, false)
   in
-  let entry = { model; solved } in
+  ({ model; solved }, from_hot)
+
+let install t ~name model =
+  let entry, from_hot = solve t ~name model in
   Memo.set t.memo name entry;
   (entry, from_hot)
 

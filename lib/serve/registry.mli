@@ -25,18 +25,28 @@ val create : ?capacity:int -> unit -> t
     trees (LRU eviction, see {!Crossbar_engine.Cache.Memo.create}).
     @raise Invalid_argument if [capacity < 1]. *)
 
-val install : t -> name:string -> Crossbar.Model.t -> entry * bool
-(** [install t ~name model] solves [model] and stores it as [name],
-    replacing any previous entry.  When the previous entry's model is
+val solve : t -> name:string -> Crossbar.Model.t -> entry * bool
+(** [solve t ~name model] solves [model] as the next entry for [name]
+    without storing it: the caller stores it with {!replace} once it has
+    what it needs from the solve, or drops the name with {!remove} if
+    that fails.  When the resident entry's model is
     delta-compatible (same switch shape and class count), the solve
     runs through {!Crossbar.Convolution.solve_delta} against it —
     bit-identical, [O(#changed log R)] combines — and the returned flag
     is [true]; a cold or shape-changing install performs a full build
-    and returns [false].  Either warm path recycles the superseded
-    tree's lattices into the convolution arenas (safe because the
-    batcher shards requests per tree: nothing else reads the entry
-    being replaced).
+    and returns [false].  Either warm path recycles the resident tree's
+    lattices into the convolution arenas (safe because the batcher
+    shards requests per tree: nothing else reads the entry being
+    replaced), so once [solve] has run, the resident entry must be
+    replaced or removed, never read again.
     @raise Failure as {!Crossbar.Convolution.solve}. *)
+
+val install : t -> name:string -> Crossbar.Model.t -> entry * bool
+(** {!solve}, then store the entry as [name]. *)
+
+val remove : t -> string -> unit
+(** Drops [name]'s entry, if resident (not counted as an eviction, and
+    its lattices are left to the GC). *)
 
 val find : t -> string -> entry option
 (** Lookup by name, refreshing LRU recency; counts toward the

@@ -36,6 +36,10 @@ MODEL='{"inputs":8,"outputs":8,"classes":[{"name":"voice","bandwidth":1,"alpha":
 # A 6000-port switch: its context must cost O(cap), not two (cap+1)^2
 # weight grids (0.6 GB between them).
 BIG='{"inputs":6000,"outputs":6000,"classes":[{"name":"one","bandwidth":1,"alpha":0.5,"mu":1.0}]}'
+# A 1024-port R=2 switch some 600 decades deep: a single scale per
+# lattice flushed its log G (the install answered ok:false), and a read
+# of the tree left behind killed the daemon.  Both lines must answer.
+DEEP='{"inputs":1024,"outputs":1024,"classes":[{"name":"a","bandwidth":1,"alpha":3.0,"mu":1.0},{"name":"b","bandwidth":2,"alpha":2.4,"mu":1.0}]}'
 
 # ---- round 1: line protocol over stdin/stdout ----
 printf '%s\n' \
@@ -45,13 +49,15 @@ printf '%s\n' \
   '{"id":4,"op":"shadow_costs","tree":"smoke","weights":[1.0,0.2]}' \
   '{"id":5,"op":"admit","tree":"smoke","class":1,"weights":[1.0,0.2]}' \
   "{\"id\":6,\"op\":\"solve\",\"tree\":\"big\",\"model\":$BIG}" \
-  '{"id":7,"op":"stats"}' \
-  '{"id":8,"op":"shutdown"}' \
+  "{\"id\":7,\"op\":\"solve\",\"tree\":\"deep\",\"model\":$DEEP}" \
+  '{"id":8,"op":"blocking","tree":"deep"}' \
+  '{"id":9,"op":"stats"}' \
+  '{"id":10,"op":"shutdown"}' \
   | timeout 60 "$SERVE" --domains 2 > "$OUT"
 
 lines=$(wc -l < "$OUT")
-if [ "$lines" -ne 8 ]; then
-  echo "FATAL: expected 8 responses over stdin, got $lines" >&2
+if [ "$lines" -ne 10 ]; then
+  echo "FATAL: expected 10 responses over stdin, got $lines" >&2
   cat "$OUT" >&2
   exit 1
 fi
@@ -64,7 +70,13 @@ if ! grep -q '^{"id":6,"ok":true,' "$OUT"; then
   echo "FATAL: the 6000-port solve did not answer ok:true" >&2
   exit 1
 fi
-echo "stdin round: 8/8 ok"
+for id in 7 8; do
+  if ! grep -q "^{\"id\":$id,\"ok\":true," "$OUT"; then
+    echo "FATAL: the 1024-port solve or its read (id $id) did not answer ok:true" >&2
+    exit 1
+  fi
+done
+echo "stdin round: 10/10 ok"
 
 # ---- round 2: same stream through the Unix-domain socket ----
 if ! command -v python3 >/dev/null 2>&1; then

@@ -1,11 +1,11 @@
-(* Fixture: a stand-in profile store whose [get] and [unsafe_get] match
-   the default r13_mantissa_producers patterns "Lattice.get" and
-   "Lattice.unsafe_get" — each read yields a rescaled mantissa tagged
-   with the profile it came from, whether or not the access is
-   bounds-checked. *)
+(* Fixture: a stand-in profile store whose [mantissa] and
+   [unsafe_mantissa] match the default r13_mantissa_producers patterns
+   "Lattice.mantissa" and "Lattice.unsafe_mantissa" — each read yields a
+   mantissa tagged with the profile it came from, whether or not the
+   access is bounds-checked. *)
 
 type t = { values : float array }
 
 let of_array values = { values }
-let get t u = t.values.(u)
-let unsafe_get t u = Array.unsafe_get t.values u
+let mantissa t u = t.values.(u)
+let unsafe_mantissa t u = Array.unsafe_get t.values u

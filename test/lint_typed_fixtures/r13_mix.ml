@@ -14,11 +14,11 @@ let bad_sub a b = Logspace.to_float a -. Logspace.of_float b
 let lifted a = Logspace.of_float a
 let indirect_add a b = lifted a +. Logspace.to_float b
 let double_exp a = Logspace.exp_log (Logspace.to_float a)
-let cross_cmp g h = Lattice.get g 0 < Lattice.get h 1
-let cross_unsafe_cmp g h = Lattice.unsafe_get g 0 < Lattice.get h 1
+let cross_cmp g h = Lattice.mantissa g 0 < Lattice.mantissa h 1
+let cross_unsafe_cmp g h = Lattice.unsafe_mantissa g 0 < Lattice.mantissa h 1
 
 let ok_add a b = Logspace.of_float a +. Logspace.of_float b
 let ok_lin a b = Logspace.to_float a +. Logspace.to_float b
 let ok_exp a = Logspace.exp_log (Logspace.of_float a)
-let ok_cmp g = Lattice.get g 0 < Lattice.get g 1
-let ok_unsafe_cmp g = Lattice.unsafe_get g 0 < Lattice.unsafe_get g 1
+let ok_cmp g = Lattice.mantissa g 0 < Lattice.mantissa g 1
+let ok_unsafe_cmp g = Lattice.unsafe_mantissa g 0 < Lattice.unsafe_mantissa g 1

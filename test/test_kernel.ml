@@ -5,8 +5,7 @@
    rectangular shape; and it is bitwise-invisible to everything around
    it — tile sizes, domain counts, banded vs sequential runs and
    arena-recycled storage all give bit-identical results.  These suites
-   pin that contract, the one-pass [Lattice.normalize], and the
-   zero-allocation arena plateau. *)
+   pin that contract and the zero-allocation arena plateau. *)
 
 module Conv = Crossbar.Convolution
 module Tree = Crossbar.Convolution.Factor_tree
@@ -24,9 +23,13 @@ let check_bits label a b =
 (* ---------- operand construction ---------- *)
 
 (* A profile with entries at multiples of [stride] (the invariant class
-   factors satisfy), magnitudes around [10^mag].  Values come from a
-   splitmix-style integer hash of (seed, u), so operands are
-   reproducible without threading a generator through qcheck shrink. *)
+   factors satisfy): entry [k stride] is a mantissa in [0.05, 0.95]
+   times [2^(mag + slope k)], so [mag] of a few thousand puts every
+   entry beyond one double's range and [slope] spreads the entries over
+   hundreds of binary orders, as the class factors of a hot solve do.
+   Mantissas come from a splitmix-style integer hash of (seed, u), so
+   operands are reproducible without threading a generator through
+   qcheck shrink. *)
 let hashed_unit seed u =
   let h = ref (Int64.of_int ((seed * 0x9e3779b9) + (u * 0x85ebca6b))) in
   h := Int64.mul !h 0xff51afd7ed558ccdL;
@@ -34,11 +37,10 @@ let hashed_unit seed u =
   let mantissa = Int64.to_float (Int64.logand !h 0xfffffL) in
   0.05 +. (0.9 *. (mantissa /. 1048576.))
 
-let make_profile ~cap ~stride ~mag seed =
+let make_profile ?(slope = 0) ~cap ~stride ~mag seed =
   let l = Lattice.create ~stride ~capacity:cap () in
-  let factor = 10. ** float_of_int mag in
   for k = 0 to cap / stride do
-    Lattice.set l (k * stride) (hashed_unit seed k *. factor)
+    Lattice.set_scaled l (k * stride) (hashed_unit seed k) (mag + (slope * k))
   done;
   l
 
@@ -51,18 +53,30 @@ let check_same_lattice label reference candidate =
     (Lattice.capacity candidate);
   Helpers.check_int (label ^ ": stride") (Lattice.stride reference)
     (Lattice.stride candidate);
-  Helpers.check_int (label ^ ": scale") (Lattice.scale reference)
-    (Lattice.scale candidate);
   for u = 0 to Lattice.capacity reference do
     check_bits
       (Printf.sprintf "%s: entry %d" label u)
-      (Lattice.get reference u) (Lattice.get candidate u)
+      (Lattice.mantissa reference u)
+      (Lattice.mantissa candidate u);
+    Helpers.check_int
+      (Printf.sprintf "%s: exponent %d" label u)
+      (Lattice.exponent reference u)
+      (Lattice.exponent candidate u)
   done
 
+(* Entry [u] of [l] and of [l'] as two doubles against the larger one's
+   binary exponent, so entries beyond one double's range compare. *)
+let aligned_entries l l' u =
+  let top x =
+    let m = Lattice.mantissa x u in
+    if m = 0. then min_int else snd (Float.frexp m) + Lattice.exponent x u
+  in
+  let e = max (top l) (top l') in
+  let at x = Float.ldexp (Lattice.mantissa x u) (Lattice.exponent x u - e) in
+  if e = min_int then (0., 0.) else (at l, at l')
+
 (* The separable kernel regroups each output's sum, so it agrees with
-   the reference combine to rounding rather than bit for bit: entries
-   are compared after aligning the two results' rescale exponents (a
-   normalize at the threshold edge may land one chunk apart). *)
+   the reference combine to rounding rather than bit for bit. *)
 let combine_rtol = 1e-12
 
 let check_close_lattice label reference candidate =
@@ -70,16 +84,8 @@ let check_close_lattice label reference candidate =
     (Lattice.capacity candidate);
   Helpers.check_int (label ^ ": stride") (Lattice.stride reference)
     (Lattice.stride candidate);
-  let shift = Lattice.scale candidate - Lattice.scale reference in
-  Helpers.check_bool
-    (label ^ ": scales within one chunk")
-    true
-    (abs shift <= 1);
   for u = 0 to Lattice.capacity reference do
-    let expected = Lattice.get reference u in
-    let actual =
-      Float.ldexp (Lattice.get candidate u) (Lattice.rescale_bits * shift)
-    in
+    let expected, actual = aligned_entries reference candidate u in
     let gap = Float.abs (expected -. actual) in
     if gap > combine_rtol *. Float.max (Float.abs expected) (Float.abs actual)
     then
@@ -99,23 +105,29 @@ let operand_gen =
   let* tile = int_range 1 17 in
   let* sa = oneofl [ 1; 1; 1; 2; 3 ] in
   let* sb = oneofl [ 1; 1; 2; 3 ] in
-  (* mag 0: plain regime.  mag ~123 per operand: the product overflows
-     the rescale threshold, so the prechunk borrows chunks and the
-     kernel folds them into its exponents.  mag ~245: single entries sit
-     near the threshold and the result needs normalize's one-pass chunk
-     application too. *)
-  let* mag = oneofl [ 0; 0; 123; 245 ] in
+  (* mag 0: plain regime.  mag 900: the operands' product leaves the
+     double range.  mag -3000 and 3000: every entry does.  Slopes of 60
+     bits per entry put one operand's span over 900 binary orders — two
+     such spans' low entries multiply below the double range unless the
+     combine's tilt flattens them — and opposite or unequal slopes leave
+     a residual tilt. *)
+  let* mag = oneofl [ 0; 0; 900; -3000; 3000 ] in
+  let slopes = [ 0; 0; 12; -12; 60; -60 ] in
+  let* slope_a = oneofl slopes in
+  let* slope_b = oneofl slopes in
   let* seed = int_range 1 1_000_000 in
-  return (cap, tile, sa, sb, mag, seed)
+  return (cap, tile, sa, sb, mag, (slope_a, slope_b), seed)
 
 let combine_matches_naive =
   QCheck2.Test.make ~name:"combine agrees with combine_naive to 1e-12"
-    ~count:120 operand_gen (fun (cap, tile, sa, sb, mag, seed) ->
+    ~count:120 operand_gen
+    (fun (cap, tile, sa, sb, mag, (slope_a, slope_b), seed) ->
       let ctx = context ~tile cap in
-      let a = make_profile ~cap ~stride:sa ~mag seed in
-      let b = make_profile ~cap ~stride:sb ~mag (seed + 1) in
+      let a = make_profile ~slope:slope_a ~cap ~stride:sa ~mag seed in
+      let b = make_profile ~slope:slope_b ~cap ~stride:sb ~mag (seed + 1) in
       let label =
-        Printf.sprintf "cap=%d tile=%d sa=%d sb=%d mag=%d" cap tile sa sb mag
+        Printf.sprintf "cap=%d tile=%d sa=%d sb=%d mag=%d slopes=%d,%d" cap
+          tile sa sb mag slope_a slope_b
       in
       check_combine_matches_naive label ctx a b;
       (* The tile edge only blocks the loops: per output, the summation
@@ -143,7 +155,7 @@ let test_tile_boundaries () =
           check_same_lattice (label ^ " vs tile 1")
             (Conv.combine (context ~tile:1 cap) a b)
             (Conv.combine ctx a b))
-        [ 0; 123 ])
+        [ 0; 3000 ])
     [ 15; 16; 17 ]
 
 let test_degenerate_tiles () =
@@ -172,7 +184,7 @@ let test_narrow_spans () =
       check_combine_matches_naive
         (Printf.sprintf "64x70000 sa=%d sb=%d mag=%d" sa sb mag)
         ctx a b)
-    [ (1, 1, 0); (1, 2, 123); (3, 2, 245) ]
+    [ (1, 1, 0); (1, 2, 900); (3, 2, -3000) ]
 
 (* ---------- banded parallel dispatch ---------- *)
 
@@ -205,7 +217,7 @@ let test_banded_determinism () =
       ignore (Conv.combine sequential a b);
       Helpers.check_int "below threshold still never bands" 0
         (Conv.banded_total sequential))
-    [ 0; 123 ]
+    [ 0; 3000 ]
 
 let test_banded_strided () =
   let cap = 29 in
@@ -344,7 +356,7 @@ let threshold_crossover_gen =
   let open QCheck2.Gen in
   let* offset = int_range (-6) 6 in
   let* domains = int_range 2 4 in
-  let* mag = oneofl [ 0; 123 ] in
+  let* mag = oneofl [ 0; 3000 ] in
   let* seed = int_range 1 1_000_000 in
   return (Conv.default_combine_threshold + offset, domains, mag, seed)
 
@@ -424,26 +436,20 @@ let test_leave_one_out_stable_across_sweeps () =
   let snapshot =
     Array.map
       (fun l ->
-        ( Lattice.scale l,
-          Array.init (Lattice.capacity l + 1) (fun u -> Lattice.get l u) ))
+        let copy = Lattice.create ~capacity:(Lattice.capacity l) () in
+        for u = 0 to Lattice.capacity l do
+          Lattice.set_scaled copy u (Lattice.mantissa l u)
+            (Lattice.exponent l u)
+        done;
+        copy)
       (Tree.leave_one_out tree)
   in
   (* The second sweep draws its intermediates from the first sweep's
      recycled nodes; the complements must not move a bit. *)
   let again = Tree.leave_one_out tree in
   Array.iteri
-    (fun r (scale, values) ->
-      Helpers.check_int
-        (Printf.sprintf "complement %d scale" r)
-        scale
-        (Lattice.scale again.(r));
-      Array.iteri
-        (fun u expected ->
-          check_bits
-            (Printf.sprintf "complement %d entry %d" r u)
-            expected
-            (Lattice.get again.(r) u))
-        values)
+    (fun r copy ->
+      check_same_lattice (Printf.sprintf "complement %d" r) copy again.(r))
     snapshot
 
 let test_arena_reuse_plateau () =
@@ -465,44 +471,6 @@ let test_arena_reuse_plateau () =
     (Conv.Arena.created arena);
   Helpers.check_bool "warmed-up updates are served from the free list" true
     (Conv.Arena.reused arena > 0)
-
-(* ---------- one-pass normalize ---------- *)
-
-let reference_normalize l =
-  while Lattice.max_abs l > Lattice.rescale_threshold do
-    Lattice.rescale l
-  done
-
-let normalize_gen =
-  let open QCheck2.Gen in
-  let* cap = int_range 0 24 in
-  let* mag = oneofl [ -10; 0; 240; 251; 280; 305 ] in
-  let* seed = int_range 1 1_000_000 in
-  return (cap, mag, seed)
-
-let normalize_matches_reference =
-  QCheck2.Test.make
-    ~name:"one-pass normalize is bit-identical to repeated rescale"
-    ~count:120 normalize_gen (fun (cap, mag, seed) ->
-      let a = make_profile ~cap ~stride:1 ~mag seed in
-      let b = make_profile ~cap ~stride:1 ~mag seed in
-      reference_normalize a;
-      Lattice.normalize b;
-      check_same_lattice
-        (Printf.sprintf "cap=%d mag=%d" cap mag)
-        a b;
-      true)
-
-let test_normalize_non_finite () =
-  let l = Lattice.create ~capacity:2 () in
-  Lattice.set l 0 infinity;
-  Lattice.set l 1 1.5;
-  (* The reference loop would never terminate here; the one-pass version
-     must return with the profile untouched. *)
-  Lattice.normalize l;
-  Helpers.check_int "scale untouched" 0 (Lattice.scale l);
-  Helpers.check_bool "entry untouched" true (Lattice.get l 0 = infinity);
-  check_bits "finite entry untouched" 1.5 (Lattice.get l 1)
 
 (* ---------- knob validation ---------- *)
 
@@ -597,12 +565,6 @@ let () =
             test_leave_one_out_stable_across_sweeps;
           Helpers.case "allocation plateau after warm-up"
             test_arena_reuse_plateau;
-        ] );
-      ( "normalize",
-        [
-          Helpers.qcheck normalize_matches_reference;
-          Helpers.case "non-finite maxima left untouched"
-            test_normalize_non_finite;
         ] );
       ( "knobs",
         [

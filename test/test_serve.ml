@@ -365,8 +365,9 @@ let test_delta_matches_fresh_solve () =
 
 let test_unknown_tree_and_bad_change () =
   let model = small_model () in
+  let registry = Registry.create () in
   let outcome, _ =
-    execute
+    execute ~registry
       [|
         request 0 (Protocol.Blocking { tree = "ghost" });
         solve_request 1 model;
@@ -382,6 +383,12 @@ let test_unknown_tree_and_bad_change () =
   check_bool "unknown tree fails" false (ok outcome.Batcher.responses.(0));
   check_bool "solve succeeds" true (ok outcome.Batcher.responses.(1));
   check_bool "out-of-range change fails" false (ok outcome.Batcher.responses.(2));
+  (* A malformed change is rejected before any solve: the tree stays. *)
+  let after, _ =
+    execute ~registry [| request 3 (Protocol.Blocking { tree = "t" }) |]
+  in
+  check_bool "tree still resident after a bad change" true
+    (ok after.Batcher.responses.(0));
   (* Errors must carry the request id and a message, and never leak as
      exceptions out of execute. *)
   check_bool "error id echoed" true
@@ -390,6 +397,43 @@ let test_unknown_tree_and_bad_change () =
     (match Json.member "error" outcome.Batcher.responses.(0) with
     | Some (Json.String _) -> true
     | _ -> false)
+
+(* The perfbench D2/D3 repro: a 1024-port R=2 install used to answer
+   ok:false (its log G was flushed), left its tree resident anyway, and
+   a blocking read of that tree then killed the daemon.  Both must
+   answer ok:true now, with Algorithm 2's measures. *)
+let test_large_install_then_read () =
+  let model =
+    Model.square ~size:1024
+      ~classes:[ poisson ~name:"a" 3.0; poisson ~name:"b" ~bandwidth:2 2.4 ]
+  in
+  let outcome, _ =
+    execute
+      [|
+        solve_request 1 model; request 2 (Protocol.Blocking { tree = "t" });
+      |]
+  in
+  let solved = outcome.Batcher.responses.(0)
+  and read = outcome.Batcher.responses.(1) in
+  check_bool "solve ok" true (ok solved);
+  check_bool "blocking ok" true (ok read);
+  let mva = Crossbar.Mva.solve model in
+  check_close ~tol:1e-9 "log G vs mva"
+    (Crossbar.Mva.log_normalization mva)
+    (response_float "log_g" solved);
+  let expected = (Crossbar.Mva.measures mva).Measures.per_class in
+  match Json.member "classes" read with
+  | Some (Json.List classes) ->
+      check_int "one entry per class" (Array.length expected)
+        (List.length classes);
+      List.iteri
+        (fun r c ->
+          check_close ~tol:1e-9
+            (Printf.sprintf "class %d non-blocking vs mva" r)
+            expected.(r).Measures.non_blocking
+            (response_float "non_blocking" c))
+        classes
+  | _ -> Alcotest.fail "blocking response lacks classes"
 
 let test_admit_semantics () =
   let model = small_model () in
@@ -688,6 +732,8 @@ let () =
           case "batched equals one-at-a-time" test_batched_equals_one_at_a_time;
           case "delta matches fresh solve" test_delta_matches_fresh_solve;
           case "unknown tree and bad change" test_unknown_tree_and_bad_change;
+          case "1024-port install then read (D2/D3)"
+            test_large_install_then_read;
           case "admit semantics" test_admit_semantics;
           case "stats and shutdown" test_stats_and_shutdown;
           case "multi-tree batch isolated" test_multi_tree_batch_isolated;

@@ -459,7 +459,6 @@ let factor_tree_benches ~smoke ~telemetry =
 module Protocol = Crossbar_serve.Protocol
 module Batcher = Crossbar_serve.Batcher
 module Registry = Crossbar_serve.Registry
-module Server = Crossbar_serve.Server
 
 (* A serve workload against one hot tree: an initial solve, then
    [rounds] cycles of delta / blocking / shadow_costs / admit — the
@@ -646,189 +645,13 @@ let serve_bench ~smoke ~classes =
   in
   (json, !max_ulp, !replay_ok, speedup)
 
-(* ---------- pipelined daemon conversation ---------- *)
-
-(* One Solve per request against a distinct tree, so every line pays a
-   full model parse on the select loop and a full factor-tree solve in
-   the batcher: both sides of the pipeline overlap carry real work. *)
-let pipeline_workload ~classes ~size ~count =
-  String.concat ""
-    (List.init count (fun i ->
-         let load = 0.05 +. (0.005 *. float_of_int i) in
-         let model = multi_delta_model ~classes ~size load in
-         Protocol.request_to_line
-           {
-             Protocol.id = Json.Int i;
-             query =
-               Protocol.Solve { tree = Printf.sprintf "p%d" i; model };
-           }
-         ^ "\n"))
-
-(* Drives one full daemon conversation off pre-written files: the
-   request stream is written to [input_path] before the timed window;
-   the daemon reads it at full speed and appends responses to
-   [output_path].  The server runs on a freshly spawned domain in both
-   modes — so sequential and pipelined solves both start from cold
-   per-domain arenas (running one mode on the persistent bench domain
-   would hand it warmed free lists the other never sees) — while the
-   calling domain blocks in [Domain.join], consuming no CPU.  No pump
-   domain exists during the measurement, so pipelined serving uses
-   exactly two busy domains (select loop + batch worker) — on a
-   two-core runner that is the regime where overlap can win at all,
-   and wall time covers exactly what pipelining attacks: the loop
-   reads, parses and writes responses while the worker solves.  EOF on
-   the input drains and shuts the loop down. *)
-let run_daemon_conversation ~pipelined ~input_path ~output_path =
-  let config =
-    (* One batcher domain on a small runner.  A bounded batch keeps
-       several batches in the conversation so the overlap recurs; the
-       bounded registry keeps eviction recycling in the measured
-       path. *)
-    {
-      Server.default_config with
-      domains = Some 1;
-      batch_limit = 32;
-      capacity = Some 8;
-      pipelined;
-    }
-  in
-  let input = Unix.openfile input_path [ Unix.O_RDONLY ] 0 in
-  let output =
-    Unix.openfile output_path
-      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
-      0o600
-  in
-  let server =
-    Domain.spawn (fun () ->
-        Fun.protect
-          ~finally:(fun () ->
-            Unix.close input;
-            Unix.close output)
-          (fun () -> Server.run ~config ~input ~output ()))
-  in
-  Domain.join server
-
-(* Response-line count of a finished conversation — read back outside
-   the timed window. *)
-let count_lines path =
-  let ic = open_in_bin path in
-  let seen = ref 0 in
-  (try
-     while true do
-       ignore (input_line ic : string);
-       incr seen
-     done
-   with End_of_file -> ());
-  close_in_noerr ic;
-  !seen
-
-let serve_pipeline_row ~smoke ~classes =
-  (* Sized so the select loop's share (parse + serialize + file I/O)
-     and the worker's share (fresh solves) are comparable — the regime
-     pipelining targets: at size 24 a solve is cheap enough that the
-     loop's JSON work is a sizable fraction of each batch, and the long
-     request stream amortizes the daemon's startup (including the
-     pipeline worker's own spawn).  Larger sizes drown the loop's share
-     in solve time and the measured overlap collapses toward 1x. *)
-  let size = 24 in
-  let count = if smoke then 256 else 384 in
-  let iters = if smoke then 10 else 14 in
-  let payload = pipeline_workload ~classes ~size ~count in
-  (* The request stream is identical every conversation: write it once,
-     outside every timed window. *)
-  let input_path = Filename.temp_file "bench_pipeline_in" ".jsonl" in
-  let output_path = Filename.temp_file "bench_pipeline_out" ".jsonl" in
-  let oc = open_out_bin input_path in
-  output_string oc payload;
-  close_out oc;
-  let answered = ref 0 in
-  let run pipelined () =
-    run_daemon_conversation ~pipelined ~input_path ~output_path
-  in
-  (* Minor collections stop every domain, and with two busy domains the
-     rendezvous is what limits the overlap — stretch the minor heap for
-     the duration of the row (both modes, so the ratio stays fair) to
-     keep the stop-the-world cadence off the measured windows. *)
-  let gc_before = Gc.get () in
-  Gc.set { gc_before with Gc.minor_heap_size = 1 lsl 20 };
-  (* Each iteration runs the two modes back to back, so the pair
-     shares whatever load the runner is under at that moment and the
-     ratio cancels the common mode.  The gated speedup is the *median*
-     of those adjacent-pair ratios — a central estimator a scheduler
-     hiccup during any single conversation barely moves, unlike a max
-     over best-case ratios which only ever inflates: a true regression
-     (pipelining no longer overlapping) drags the median down with it,
-     while a one-sided outlier in either mode is absorbed. *)
-  let sequential_samples = ref [] in
-  let pipelined_samples = ref [] in
-  let pair_ratios = ref [] in
-  for _ = 1 to iters do
-    let note samples f =
-      (* Settle the heap first so one mode's garbage never bills the
-         other's timed window. *)
-      Gc.full_major ();
-      let started = Engine.Clock.now () in
-      f ();
-      let elapsed = Engine.Clock.elapsed_since started in
-      samples := elapsed :: !samples;
-      elapsed
-    in
-    let sequential_sample = note sequential_samples (run false) in
-    let pipelined_sample = note pipelined_samples (run true) in
-    pair_ratios := (sequential_sample /. pipelined_sample) :: !pair_ratios;
-    (* Read back outside the timed windows. *)
-    answered := count_lines output_path
-  done;
-  Gc.set gc_before;
-  Sys.remove input_path;
-  Sys.remove output_path;
-  let median samples =
-    (* lint: disable=R7 — total order for sorting, not a tolerance test *)
-    let sorted = List.sort Float.compare samples in
-    let n = List.length sorted in
-    let nth i = List.nth sorted i in
-    if n mod 2 = 1 then nth (n / 2)
-    else 0.5 *. (nth ((n / 2) - 1) +. nth (n / 2))
-  in
-  let sequential_seconds = median !sequential_samples in
-  let pipelined_seconds = median !pipelined_samples in
-  let speedup = median !pair_ratios in
-  let qps = float_of_int count /. pipelined_seconds in
-  Printf.printf
-    "R=%d size=%d requests=%d  sequential %.5fs  pipelined %.5fs  speedup \
-     %.2fx  (%.0f q/s)\n"
-    classes size count sequential_seconds pipelined_seconds speedup qps;
-  let json =
-    Json.Assoc
-      [
-        ("classes", Json.Int classes);
-        ("size", Json.Int size);
-        ("requests", Json.Int count);
-        ("iterations", Json.Int iters);
-        ("answered", Json.Int !answered);
-        ("sequential_seconds", Json.Float sequential_seconds);
-        ("pipelined_seconds", Json.Float pipelined_seconds);
-        ("speedup", Json.Float speedup);
-        ("queries_per_second", Json.Float qps);
-      ]
-  in
-  (json, speedup)
-
 let serve_benches ~smoke =
   line "Serve daemon: batched hot-tree serving vs per-query re-solve";
   let results =
     List.map (fun classes -> serve_bench ~smoke ~classes) [ 2; 4; 8 ]
   in
-  line "Serve daemon: pipelined vs sequential batch execution";
-  let pipeline_rows =
-    List.map (fun classes -> serve_pipeline_row ~smoke ~classes) [ 8 ]
-  in
   let json =
-    Json.Assoc
-      [
-        ("load", Json.List (List.map (fun (j, _, _, _) -> j) results));
-        ("pipeline", Json.List (List.map fst pipeline_rows));
-      ]
+    Json.Assoc [ ("load", Json.List (List.map (fun (j, _, _, _) -> j) results)) ]
   in
   let worst_ulp =
     List.fold_left (fun acc (_, ulp, _, _) -> max acc ulp) 0 results
@@ -840,11 +663,7 @@ let serve_benches ~smoke =
         if classes = 8 then speedup else acc)
       0. [ 2; 4; 8 ] results
   in
-  let pipeline8 =
-    List.fold_left (fun acc (_, speedup) -> Float.max acc speedup) 0.
-      pipeline_rows
-  in
-  (json, worst_ulp, replay_ok, speedup8, pipeline8)
+  (json, worst_ulp, replay_ok, speedup8)
 
 (* ---------- part 2d: combine kernel microbenchmarks ---------- *)
 
@@ -1032,6 +851,55 @@ let kernel_benches ~smoke =
   let parallel8 = at_8 [ 8 ] parallels in
   (json, combine8, parallel8)
 
+(* ---------- part 2e: engine pool dispatch ---------- *)
+
+(* Absolute cost of one empty fan-out through [Engine.Pool.run] at two
+   workers — the hand-off every daemon batch and sweep pays on top of
+   its tasks.  Reported, not gated: an absolute time says nothing
+   portable, but the row shows at a glance whether a batch still pays
+   for domains rather than for answers.  The median of [samples]
+   windows of [runs] calls each, after a warm-up that starts the
+   workers. *)
+let pool_dispatch_row ~smoke =
+  let runs = if smoke then 2_000 else 20_000 in
+  let samples = 5 in
+  let empty () =
+    ignore (Engine.Pool.run ~domains:2 ~tasks:2 ignore : unit array)
+  in
+  for _ = 1 to 100 do
+    empty ()
+  done;
+  let windows =
+    List.init samples (fun _ ->
+        let started = Engine.Clock.now () in
+        for _ = 1 to runs do
+          empty ()
+        done;
+        Engine.Clock.elapsed_since started)
+  in
+  (* lint: disable=R7 — total order for sorting, not a tolerance test *)
+  let seconds = List.nth (List.sort Float.compare windows) (samples / 2) in
+  let us_per_run = seconds /. float_of_int runs *. 1e6 in
+  line "Engine pool: empty Pool.run ~domains:2 ~tasks:2";
+  Printf.printf "%d runs  %.5fs  %.2f us/run  (median of %d windows)\n" runs
+    seconds us_per_run samples;
+  Json.Assoc
+    [
+      ( "dispatch",
+        Json.List
+          [
+            Json.Assoc
+              [
+                ("domains", Json.Int 2);
+                ("tasks", Json.Int 2);
+                ("runs", Json.Int runs);
+                ("samples", Json.Int samples);
+                ("seconds", Json.Float seconds);
+                ("us_per_run", Json.Float us_per_run);
+              ];
+          ] );
+    ]
+
 (* ---------- part 3: Bechamel timing ---------- *)
 
 let whole_figure ?(sizes = Paper.sizes) series () =
@@ -1154,7 +1022,7 @@ let benchmark () =
 
 (* ---------- JSON perf snapshot ---------- *)
 
-let snapshot ~mode ~telemetry ~sweeps ~factor_tree ~serve ~kernel
+let snapshot ~mode ~telemetry ~sweeps ~factor_tree ~serve ~kernel ~pool
     ~replications ~timings =
   let solves = Engine.Telemetry.solves telemetry in
   let cache_hits =
@@ -1175,6 +1043,7 @@ let snapshot ~mode ~telemetry ~sweeps ~factor_tree ~serve ~kernel
       ("factor_tree", factor_tree);
       ("serve", serve);
       ("kernel", kernel);
+      ("pool", pool);
       ("replications", replications);
       ( "cache",
         Json.Assoc
@@ -1213,7 +1082,7 @@ let validate_snapshot path =
       let required =
         [
           "schema"; "mode"; "domains"; "cache"; "telemetry"; "sweeps";
-          "factor_tree"; "serve"; "kernel"; "replications";
+          "factor_tree"; "serve"; "kernel"; "pool"; "replications";
         ]
       in
       List.iter
@@ -1332,7 +1201,6 @@ let compare_with_baseline ~fresh_factor_tree ~fresh_serve ~fresh_kernel path =
       ("factor_tree", "gradient", "classes");
       ("factor_tree", "multi_delta", "classes");
       ("serve", "load", "classes");
-      ("serve", "pipeline", "classes");
       ("kernel", "combine", "classes");
       ("kernel", "parallel", "classes");
     ];
@@ -1366,18 +1234,6 @@ let serve8_speedup_floor = 1.0
 let kernel_combine8_floor = 1.5
 let kernel_parallel8_floor = 1.0
 
-(* Acceptance floor for pipelined serving.  On an idle two-core host
-   the adjacent-pair median sits around 1.15-1.2x, but the overlap
-   needs a genuinely free second core: under external load the central
-   estimate honestly degrades toward parity (observed as low as ~0.95x
-   on a busy shared runner), and no robust statistic can clear 1.1x
-   there without the upward bias this gate used to carry.  The hard
-   floor therefore only catches catastrophic regressions — pipelining
-   costing a double execution or serializing the batch twice — while
-   the committed-baseline compare (0.85x of a min-of-5 recorded
-   speedup) carries the finer regression duty. *)
-let serve_pipeline_floor = 0.9
-
 let () =
   let fast = Array.exists (String.equal "--fast") Sys.argv in
   let smoke = Array.exists (String.equal "--smoke") Sys.argv in
@@ -1385,12 +1241,6 @@ let () =
      no gates): dune exec bench/main.exe -- --kernel-only [--smoke]. *)
   if Array.exists (String.equal "--kernel-only") Sys.argv then begin
     ignore (kernel_benches ~smoke : Json.t * float * float);
-    exit 0
-  end;
-  (* Developer loop for the daemon pipelining row alone (no snapshot,
-     no gates): dune exec bench/main.exe -- --pipeline-only [--smoke]. *)
-  if Array.exists (String.equal "--pipeline-only") Sys.argv then begin
-    ignore (serve_pipeline_row ~smoke ~classes:8 : Json.t * float);
     exit 0
   end;
   let json_path = parse_json_path Sys.argv in
@@ -1402,9 +1252,10 @@ let () =
   let factor_tree, tree_ulp, gradient_gap, gradient8_speedup =
     factor_tree_benches ~smoke ~telemetry
   in
-  let serve, serve_ulp, serve_replay_ok, serve8_speedup, serve_pipeline8 =
+  let serve, serve_ulp, serve_replay_ok, serve8_speedup =
     serve_benches ~smoke
   in
+  let pool = pool_dispatch_row ~smoke in
   let kernel, kernel_combine8, kernel_parallel8 =
     kernel_benches ~smoke
   in
@@ -1417,7 +1268,7 @@ let () =
   | None -> ()
   | Some path ->
       write_snapshot path
-        (snapshot ~mode ~telemetry ~sweeps ~factor_tree ~serve ~kernel
+        (snapshot ~mode ~telemetry ~sweeps ~factor_tree ~serve ~kernel ~pool
            ~replications ~timings);
       let json = validate_snapshot path in
       let solve_count =
@@ -1471,12 +1322,6 @@ let () =
     Printf.eprintf
       "FATAL: serve batching speedup at R=8 is %.2fx (floor %.1fx)\n"
       serve8_speedup serve8_speedup_floor;
-    exit 1
-  end;
-  if smoke && serve_pipeline8 < serve_pipeline_floor then begin
-    Printf.eprintf
-      "FATAL: pipelined serve speedup at R=8 is %.2fx (floor %.2fx)\n"
-      serve_pipeline8 serve_pipeline_floor;
     exit 1
   end;
   (* Kernel gates: the tiled kernel must hold its margin over the

@@ -19,7 +19,7 @@ let run ?domains ~tasks f =
     let results = Array.make tasks None in
     let next = Atomic.make 0 in
     let failure = Atomic.make None in
-    let worker () =
+    let band (_ : int) =
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < tasks && Atomic.get failure = None then begin
@@ -32,13 +32,15 @@ let run ?domains ~tasks f =
       in
       loop ()
     in
-    (* The calling domain is worker zero; spawn the rest.  Each [results]
-       slot is written by exactly one worker — the Atomic counter hands
-       out disjoint indices — and only read after every domain joins. *)
-    (* lint: guarded=results — disjoint writes, read after join *)
-    let spawned = Array.init (workers - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join spawned;
+    (* One band per worker on the process's persistent band domains: the
+       calling domain runs band 0, parked workers run the rest, and the
+       call returns once every band has finished.  Each [results] slot
+       is written by exactly one band — the Atomic counter hands out
+       disjoint indices — and only read after that.  A nested or
+       concurrent call finds the band pool busy and runs its bands
+       inline; the first band then drains every task. *)
+    (* lint: guarded=results — disjoint writes, read after every band *)
+    Crossbar.Band_pool.run ~bands:workers band;
     (match Atomic.get failure with Some e -> raise e | None -> ());
     Array.map
       (function Some value -> value | None -> assert false)

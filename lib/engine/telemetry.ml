@@ -74,7 +74,7 @@ let solve_to_json s =
       ("from_incremental", Json.Bool s.from_incremental);
     ]
 
-let to_json ?cache ?domains t =
+let to_json ?cache ?domains ?(records = true) t =
   (* One lock acquisition for the whole document: the solve count, the
      wall-time totals, the percentiles and the record list all come from
      this single snapshot, so a record landing concurrently can never
@@ -124,6 +124,8 @@ let to_json ?cache ?domains t =
               ] );
         ]
   in
-  Json.Assoc
-    (base @ pool @ cache_fields
-    @ [ ("records", Json.List (List.map solve_to_json solves)) ])
+  let record_list =
+    if records then [ ("records", Json.List (List.map solve_to_json solves)) ]
+    else []
+  in
+  Json.Assoc (base @ pool @ cache_fields @ record_list)

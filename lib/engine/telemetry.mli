@@ -51,10 +51,12 @@ val wall_percentiles : t -> float * float * float
 
 val solve_to_json : solve -> Json.t
 
-val to_json : ?cache:Cache.t -> ?domains:int -> t -> Json.t
+val to_json : ?cache:Cache.t -> ?domains:int -> ?records:bool -> t -> Json.t
 (** The full collector as one JSON object: aggregate counters, optional
     cache hit/miss statistics and pool width, then the per-solve record
     list.  All fields derive from a {e single} locked snapshot of the
     record list, so the emitted [solves] count, totals, percentiles and
     [records] always describe the same instant even while other domains
-    keep recording. *)
+    keep recording.  [~records:false] leaves the record list out — the
+    same object minus its last field, without serialising a record —
+    for summaries polled from a long-running process. *)

@@ -182,17 +182,10 @@ let handle_admit registry ~tree ~class_index ~weights =
           end)
 
 let stats_fields ~registry ~telemetry ~domains =
-  (* One consistent telemetry snapshot, minus the unbounded per-solve
-     record list (a long-running daemon would make it enormous). *)
-  let summary =
-    match Telemetry.to_json telemetry with
-    | Json.Assoc fields ->
-        Json.Assoc
-          (List.filter (fun (key, _) -> not (String.equal key "records")) fields)
-    | other -> other
-  in
   [
-    ("telemetry", summary);
+    (* One consistent telemetry snapshot, minus the unbounded per-solve
+       record list (a long-running daemon would make it enormous). *)
+    ("telemetry", Telemetry.to_json ~records:false telemetry);
     ("registry", Registry.stats_json registry);
     ("domains", Json.Int domains);
   ]
@@ -326,161 +319,8 @@ let execute ?domains ~registry ~telemetry (requests : Protocol.request array) =
       | _ -> ());
       responses.(i) <- handle ~registry ~telemetry ~domains:width requests.(i))
     (List.rev !control);
-  (* Quiescent point: the pool workers have joined, so trees evicted by
-     capacity pressure during this batch have no remaining readers and
-     their lattices can go back to the arenas. *)
+  (* Quiescent point: every pool worker has finished its band, so trees
+     evicted by capacity pressure during this batch have no remaining
+     readers and their lattices can go back to the arenas. *)
   ignore (Registry.recycle_evicted registry : int);
   { responses; shutdown = !shutdown }
-
-(* ---------- pipelined execution ---------- *)
-
-module Pipeline = struct
-  (* One worker domain, one batch in flight.  The server thread submits
-     a batch and returns to its select loop; the worker executes it and
-     pings a self-pipe byte, which the select loop watches alongside the
-     client socket — reading the next batch overlaps serving the current
-     one without threading callbacks through [execute]. *)
-
-  type slot =
-    | Empty  (** no batch submitted *)
-    | Batch of Protocol.request array  (** submitted, not yet taken *)
-    | Running  (** worker is executing *)
-    | Result of outcome  (** finished; collect pending *)
-    | Failed of exn  (** execute raised; collect re-raises *)
-    | Quit  (** shutdown requested *)
-
-  type shared = {
-    lock : Mutex.t;
-    cond : Condition.t;
-    mutable slot : slot;
-    notify_write : Unix.file_descr;
-  }
-
-  type t = {
-    shared : shared;
-    notify_read : Unix.file_descr;
-    worker : unit Domain.t;
-  }
-
-  let rec ping fd bytes =
-    match Unix.write fd bytes 0 1 with
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ping fd bytes
-
-  let worker_loop ?domains ~registry ~telemetry shared =
-    let bytes = Bytes.make 1 '\000' in
-    let rec await () =
-      match shared.slot with
-      | Batch _ | Quit -> ()
-      | Empty | Running | Result _ | Failed _ ->
-          Condition.wait shared.cond shared.lock;
-          await ()
-    in
-    let rec loop () =
-      Mutex.lock shared.lock;
-      await ();
-      match shared.slot with
-      | Quit -> Mutex.unlock shared.lock
-      | Batch requests ->
-          shared.slot <- Running;
-          Mutex.unlock shared.lock;
-          let finished =
-            match execute ?domains ~registry ~telemetry requests with
-            | outcome -> Result outcome
-            | exception e -> Failed e
-          in
-          Mutex.lock shared.lock;
-          shared.slot <- finished;
-          (* Wake a [shutdown] waiting out this batch; the worker itself
-             never waits while a slot it published is pending. *)
-          Condition.signal shared.cond;
-          Mutex.unlock shared.lock;
-          (* Ping after the slot is published: the mutex hand-off above
-             happens-before the select loop's read of the byte. *)
-          ping shared.notify_write bytes;
-          loop ()
-      | Empty | Running | Result _ | Failed _ -> assert false
-    in
-    loop ()
-
-  let start ?domains ~registry ~telemetry () =
-    let notify_read, notify_write = Unix.pipe ~cloexec:true () in
-    let shared =
-      { lock = Mutex.create (); cond = Condition.create (); slot = Empty;
-        notify_write }
-    in
-    (* Every [slot] access is under [lock]; the pipe byte only signals
-       readiness, never carries data. *)
-    let worker =
-      (* lint: guarded=shared — slot hand-off is under shared.lock *)
-      Domain.spawn (fun () -> worker_loop ?domains ~registry ~telemetry shared)
-    in
-    { shared; notify_read; worker }
-
-  let descriptor t = t.notify_read
-
-  let submit t requests =
-    let shared = t.shared in
-    Mutex.lock shared.lock;
-    match shared.slot with
-    | Empty ->
-        shared.slot <- Batch requests;
-        Condition.signal shared.cond;
-        Mutex.unlock shared.lock
-    | Batch _ | Running | Result _ | Failed _ | Quit ->
-        Mutex.unlock shared.lock;
-        invalid_arg "Batcher.Pipeline.submit: a batch is already in flight"
-
-  let collect t =
-    (* Drain the readiness byte first so a fresh [select] round blocks
-       instead of spinning on a stale ping. *)
-    let buffer = Bytes.create 1 in
-    let rec drain () =
-      match Unix.read t.notify_read buffer 0 1 with
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
-    in
-    drain ();
-    let shared = t.shared in
-    Mutex.lock shared.lock;
-    match shared.slot with
-    | Result outcome ->
-        shared.slot <- Empty;
-        Mutex.unlock shared.lock;
-        outcome
-    | Failed e ->
-        shared.slot <- Empty;
-        Mutex.unlock shared.lock;
-        raise e
-    | Empty | Batch _ | Running | Quit ->
-        Mutex.unlock shared.lock;
-        invalid_arg "Batcher.Pipeline.collect: no finished batch"
-
-  let shutdown t =
-    let shared = t.shared in
-    Mutex.lock shared.lock;
-    (* An executing batch cannot be interrupted — wait for the worker to
-       publish its slot, then quit.  An unconsumed Batch/Result/Failed is
-       discarded: shutdown is also the crash-cleanup path, where the
-       server loop abandoned whatever was in flight, and a worker that
-       never takes the batch (or a result nobody collects) must not keep
-       the domain alive or leak the pipe. *)
-    let rec settle () =
-      match shared.slot with
-      | Running ->
-          Condition.wait shared.cond shared.lock;
-          settle ()
-      | Empty | Batch _ | Result _ | Failed _ | Quit -> ()
-    in
-    settle ();
-    (match shared.slot with
-    | Quit -> ()
-    | Running -> assert false (* [settle] waited it out *)
-    | Empty | Batch _ | Result _ | Failed _ ->
-        shared.slot <- Quit;
-        Condition.signal shared.cond);
-    Mutex.unlock shared.lock;
-    Domain.join t.worker;
-    Unix.close t.notify_read;
-    Unix.close shared.notify_write
-end

@@ -6,40 +6,46 @@ type config = {
   capacity : int option;
   domains : int option;
   batch_limit : int;
-  pipelined : bool;
 }
 
 let default_config =
-  {
-    socket_path = None;
-    capacity = None;
-    domains = None;
-    batch_limit = 256;
-    pipelined = true;
-  }
+  { socket_path = None; capacity = None; domains = None; batch_limit = 256 }
 
 (* One input stream: the primary input or an accepted socket client.
-   [carry] holds the partial line between reads. *)
+   [carry] holds the partial line between reads; [outbox] the responses
+   of the batch being answered, written to [out] in one piece. *)
 type conn = {
   fd : Unix.file_descr;
   out : Unix.file_descr;
-  mutable carry : string;
+  carry : Buffer.t;
+  outbox : Buffer.t;
+  mutable queued : int;  (** requests read but not yet answered *)
   mutable open_ : bool;
   primary : bool;  (** the input/output pair given to [run] *)
 }
 
 type item = Request of Protocol.request | Malformed of Json.t * string
 
+let connection ~fd ~out ~primary =
+  {
+    fd;
+    out;
+    carry = Buffer.create 4096;
+    outbox = Buffer.create 4096;
+    queued = 0;
+    open_ = true;
+    primary;
+  }
+
 (* Write the whole string; false if the peer is gone.  A client that
    disconnects mid-response is its own problem: the daemon drops the
    connection and keeps serving everyone else. *)
 let write_all fd text =
-  let bytes = Bytes.of_string text in
-  let total = Bytes.length bytes in
+  let total = String.length text in
   let rec loop offset =
     if offset >= total then true
     else
-      match Unix.write fd bytes offset (total - offset) with
+      match Unix.write_substring fd text offset (total - offset) with
       | written -> loop (offset + written)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop offset
       | exception
@@ -49,23 +55,46 @@ let write_all fd text =
   in
   loop 0
 
-let write_response conn response =
-  if not (write_all conn.out (Protocol.response_to_line response ^ "\n")) then
-    conn.open_ <- false
+let flush_outbox conn =
+  if Buffer.length conn.outbox > 0 then begin
+    if not (write_all conn.out (Buffer.contents conn.outbox)) then
+      conn.open_ <- false;
+    (* Keep the capacity: the next batch's responses are about as long. *)
+    Buffer.clear conn.outbox
+  end
 
-(* Split [conn.carry ^ chunk] into complete lines, keeping the trailing
-   partial line (if any) as the new carry. *)
-let push_chunk conn chunk =
-  let data = conn.carry ^ chunk in
-  let pieces = String.split_on_char '\n' data in
-  let rec split acc = function
-    | [] -> (List.rev acc, "")
-    | [ last ] -> (List.rev acc, last)
-    | piece :: rest -> split (piece :: acc) rest
+let rec newline chunk i n =
+  if i >= n then None
+  else if Bytes.get chunk i = '\n' then Some i
+  else newline chunk (i + 1) n
+
+(* Split the [n] bytes just read into complete lines, joining the first
+   with the carried partial line and carrying the trailing partial line
+   (if any).  Only the new bytes are scanned for newlines, so a long
+   line arriving in small reads costs linear time. *)
+let push_chunk conn chunk n =
+  let rec split acc start =
+    match newline chunk start n with
+    | Some stop ->
+        let line =
+          if Buffer.length conn.carry = 0 then
+            Bytes.sub_string chunk start (stop - start)
+          else begin
+            Buffer.add_subbytes conn.carry chunk start (stop - start);
+            let line = Buffer.contents conn.carry in
+            Buffer.reset conn.carry;
+            line
+          end
+        in
+        let acc =
+          if String.equal (String.trim line) "" then acc else line :: acc
+        in
+        split acc (stop + 1)
+    | None ->
+        Buffer.add_subbytes conn.carry chunk start (n - start);
+        List.rev acc
   in
-  let lines, carry = split [] pieces in
-  conn.carry <- carry;
-  List.filter (fun line -> not (String.equal (String.trim line) "")) lines
+  split [] 0
 
 let parse_line line =
   match Protocol.request_of_line line with
@@ -81,18 +110,18 @@ let parse_line line =
       in
       Malformed (id, message)
 
-(* Read whatever is available; returns parsed items in arrival order.
-   On EOF the remaining carry (a final unterminated line) is parsed
-   too, and the connection is marked closed. *)
-let read_available conn =
-  let chunk = Bytes.create 65536 in
+(* Read whatever is available into the server's [chunk] buffer;
+   returns parsed items in arrival order.  On EOF the remaining carry (a
+   final unterminated line) is parsed too, and the connection is marked
+   closed. *)
+let read_available conn chunk =
   match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
   | 0 ->
       conn.open_ <- false;
-      let leftover = String.trim conn.carry in
-      conn.carry <- "";
+      let leftover = String.trim (Buffer.contents conn.carry) in
+      Buffer.reset conn.carry;
       if String.equal leftover "" then [] else [ parse_line leftover ]
-  | n -> List.map parse_line (push_chunk conn (Bytes.sub_string chunk 0 n))
+  | n -> List.map parse_line (push_chunk conn chunk n)
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
       conn.open_ <- false;
@@ -126,105 +155,60 @@ let run ?(config = default_config) ~input ~output () =
   validate config;
   let registry = Registry.create ?capacity:config.capacity () in
   let telemetry = Telemetry.create () in
-  let executor =
-    if config.pipelined then
-      Some (Batcher.Pipeline.start ?domains:config.domains ~registry ~telemetry ())
-    else None
-  in
-  let pipeline_descriptor =
-    Option.map Batcher.Pipeline.descriptor executor
-  in
-  let is_pipeline fd =
-    match pipeline_descriptor with Some p -> p = fd | None -> false
-  in
-  (* The batch the pipeline worker is currently executing, kept so its
-     responses can be routed back to each request's connection. *)
-  let inflight : (conn * item) array option ref = ref None in
   let listen =
     Option.map (fun path -> (listen_socket path, path)) config.socket_path
   in
-  let primary =
-    { fd = input; out = output; carry = ""; open_ = true; primary = true }
-  in
-  let conns = ref [ primary ] in
+  let conns = ref [ connection ~fd:input ~out:output ~primary:true ] in
   let pending : (conn * item) Queue.t = Queue.create () in
+  (* One read buffer for every connection: reads never overlap. *)
+  let chunk = Bytes.create 65536 in
   (* Pop the oldest [batch_limit] pending items as one batch. *)
   let take_batch () =
-    let batch = ref [] in
-    while
-      List.length !batch < config.batch_limit && not (Queue.is_empty pending)
-    do
-      batch := Queue.pop pending :: !batch
-    done;
-    Array.of_list (List.rev !batch)
+    let size = min config.batch_limit (Queue.length pending) in
+    Array.init size (fun _ -> Queue.pop pending)
   in
-  (* The well-formed requests of a batch, each with its batch index —
-     deterministic in the batch, so dispatch and respond can both
-     derive it. *)
-  let requests_of batch =
-    let request_indices =
-      Array.to_list
-        (Array.mapi
-           (fun i (_, item) ->
-             match item with
-             | Request r -> Some (i, r)
-             | Malformed _ -> None)
-           batch)
-    in
-    List.filter_map Fun.id request_indices
-  in
-  let respond batch (outcome : Batcher.outcome) =
-    let by_batch_index = Hashtbl.create 16 in
-    List.iteri
-      (fun k (i, _) ->
-        Hashtbl.replace by_batch_index i outcome.Batcher.responses.(k))
-      (requests_of batch);
-    Array.iteri
-      (fun i (conn, item) ->
-        let response =
-          match item with
-          | Malformed (id, message) -> Protocol.error_response ~id message
-          | Request _ -> Hashtbl.find by_batch_index i
-        in
-        write_response conn response)
-      batch;
-    outcome.Batcher.shutdown
-  in
-  (* Serve a batch synchronously on this domain (the sequential mode,
-     and the drain path once every input has closed). *)
+  (* Serve one batch on this domain: the well-formed requests go to the
+     batcher, whose responses come back in request order, and every
+     item's response — malformed lines included — is queued on its own
+     connection in arrival order, then each connection's share is
+     written at once. *)
   let flush_batch () =
     let batch = take_batch () in
-    let requests = Array.of_list (List.map snd (requests_of batch)) in
+    let requests =
+      Array.of_list
+        (List.filter_map
+           (function _, Request r -> Some r | _, Malformed _ -> None)
+           (Array.to_list batch))
+    in
     let outcome =
       Batcher.execute ?domains:config.domains ~registry ~telemetry requests
     in
-    respond batch outcome
-  in
-  let dispatch pipeline =
-    let batch = take_batch () in
-    let requests = Array.of_list (List.map snd (requests_of batch)) in
-    Batcher.Pipeline.submit pipeline requests;
-    inflight := Some batch
+    let next = ref 0 in
+    Array.iter
+      (fun (conn, item) ->
+        let response =
+          match item with
+          | Malformed (id, message) -> Protocol.error_response ~id message
+          | Request _ ->
+              incr next;
+              outcome.Batcher.responses.(!next - 1)
+        in
+        conn.queued <- conn.queued - 1;
+        Buffer.add_string conn.outbox (Protocol.response_to_line response);
+        Buffer.add_char conn.outbox '\n')
+      batch;
+    List.iter flush_outbox !conns;
+    outcome.Batcher.shutdown
   in
   let accept_client fd =
     match Unix.accept fd with
     | client, _ ->
-        conns :=
-          !conns
-          @ [ { fd = client; out = client; carry = ""; open_ = true;
-                primary = false } ]
+        conns := !conns @ [ connection ~fd:client ~out:client ~primary:false ]
     | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ()
   in
   (* Runs exactly once, as the [Fun.protect] finalizer around the loop:
-     on the normal path every exit collects the pipeline's outcome
-     first, and on an exception path [Pipeline.shutdown] itself waits
-     out (and discards) whatever was in flight — either way the worker
-     domain is joined and the pipe, listen socket and client fds are
-     closed. *)
+     the listen socket and every client fd are closed. *)
   let cleanup () =
-    (match executor with
-    | Some pipeline -> Batcher.Pipeline.shutdown pipeline
-    | None -> ());
     (match listen with
     | Some (fd, path) ->
         Unix.close fd;
@@ -237,37 +221,31 @@ let run ?(config = default_config) ~input ~output () =
       !conns
   in
   let rec loop () =
-    (* Drop (and close) dead socket clients; the primary stream is never
-       closed here — the caller owns its descriptors. *)
-    let kept, dead = List.partition (fun c -> c.open_ || c.primary) !conns in
+    (* Drop (and close) dead socket clients once their queued requests
+       are answered; the primary stream is never closed here — the
+       caller owns its descriptors. *)
+    let kept, dead =
+      List.partition (fun c -> c.open_ || c.primary || c.queued > 0) !conns
+    in
     List.iter (fun c -> Unix.close c.fd) dead;
     conns := kept;
     let live = List.filter (fun c -> c.open_) !conns in
     let watched =
       List.map (fun c -> c.fd) live
-      @ (match listen with Some (fd, _) -> [ fd ] | None -> [])
-      @
-      match (pipeline_descriptor, !inflight) with
-      | Some fd, Some _ -> [ fd ]
-      | _ -> []
+      @ match listen with Some (fd, _) -> [ fd ] | None -> []
     in
     match watched with
     | [] ->
-        (* Inputs exhausted, no socket to accept from, nothing in flight
-           (the pipeline pipe is watched while a batch runs): drain
-           synchronously and stop. *)
+        (* Inputs exhausted and no socket to accept from: drain and
+           stop. *)
         if Queue.is_empty pending then ()
         else if flush_batch () then ()
         else loop ()
     | _ :: _ ->
-        (* Block when idle or when a batch is in flight (nothing to do
-           until input or the pipeline pipe wakes us); poll when a batch
-           is queued and dispatchable, so every line that arrived while
-           the previous batch was being read joins it. *)
-        let timeout =
-          if Queue.is_empty pending || Option.is_some !inflight then -1.0
-          else 0.0
-        in
+        (* Block when idle; poll when a batch is queued, so every line
+           that arrived while the previous batch was being served joins
+           it. *)
+        let timeout = if Queue.is_empty pending then -1.0 else 0.0 in
         let readable, _, _ =
           match Unix.select watched [] [] timeout with
           | result -> result
@@ -280,44 +258,17 @@ let run ?(config = default_config) ~input ~output () =
           (fun conn ->
             if List.memq conn.fd readable then
               List.iter
-                (fun item -> Queue.push (conn, item) pending)
-                (read_available conn))
+                (fun item ->
+                  conn.queued <- conn.queued + 1;
+                  Queue.push (conn, item) pending)
+                (read_available conn chunk))
           live;
-        let nothing_more =
-          not (List.exists (fun fd -> not (is_pipeline fd)) readable)
-        in
-        (* Collect a finished batch, hand the worker the next one, and
-           only then serialize and write the finished batch's responses
-           — so response writing overlaps the next batch's solves.  The
-           single loop domain still writes batch N's responses before it
-           can collect batch N+1, so each connection sees its responses
-           in arrival order regardless. *)
-        let shutdown_now =
-          match (executor, !inflight) with
-          | Some pipeline, Some batch when List.exists is_pipeline readable ->
-              inflight := None;
-              let outcome = Batcher.Pipeline.collect pipeline in
-              if
-                (not outcome.Batcher.shutdown)
-                && (not (Queue.is_empty pending))
-                && (nothing_more || Queue.length pending >= config.batch_limit)
-              then dispatch pipeline;
-              respond batch outcome
-          | _ -> false
-        in
-        if shutdown_now then ()
-        else if Queue.is_empty pending || Option.is_some !inflight then loop ()
+        if Queue.is_empty pending then loop ()
         else if
-          (* Flush once no more input is immediately available, or the
+          (* Serve once no more input is immediately available, or the
              batch cap is reached. *)
-          nothing_more || Queue.length pending >= config.batch_limit
-        then begin
-          match executor with
-          | Some pipeline ->
-              dispatch pipeline;
-              loop ()
-          | None -> if flush_batch () then () else loop ()
-        end
+          readable = [] || Queue.length pending >= config.batch_limit
+        then if flush_batch () then () else loop ()
         else loop ()
   in
   Fun.protect ~finally:cleanup loop

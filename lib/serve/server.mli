@@ -8,20 +8,16 @@
     Batching: the loop blocks until at least one request is readable,
     then drains every complete line already buffered on any connection
     (up to [batch_limit]) into one batch and hands it to
-    {!Batcher.execute}.  Under load, queries pile up behind the batch in
-    flight and are served together off shared hot trees; an idle daemon
-    answers single requests immediately.  Responses are written back to
-    each request's own connection, in arrival order per connection.
-
-    Pipelining (default): the batch executes on a {!Batcher.Pipeline}
-    worker domain while this loop keeps reading and grouping the next
-    batch, so socket I/O — reading and parsing requests, serializing
-    and writing responses — overlaps solving.  Strictly one batch is
-    in flight, and the loop writes a finished batch's responses before
-    it can collect the next batch's — so the byte stream each
-    connection sees is identical to sequential mode
-    ([pipelined = false]), which serves each batch inline before
-    reading again. *)
+    {!Batcher.execute}, inline on the loop's domain.  Under load,
+    queries pile up behind the batch being served and are served
+    together off shared hot trees; an idle daemon answers single
+    requests immediately.  The batch's tree groups fan out over the
+    process's persistent worker domains, so no batch spawns a domain.
+    Responses are written back to each request's own connection, in
+    arrival order per connection — one write per connection per batch.
+    Each connection's partial line is carried in a buffer and only
+    newly read bytes are scanned for line ends, so a line split across
+    many small reads costs linear time. *)
 
 type config = {
   socket_path : string option;
@@ -33,16 +29,11 @@ type config = {
       (** batcher pool width (default
           {!Crossbar_engine.Pool.recommended_domains}) *)
   batch_limit : int;  (** max requests served as one batch *)
-  pipelined : bool;
-      (** execute batches on a {!Batcher.Pipeline} worker domain,
-          overlapping the next batch's reads with the current batch's
-          solves; [false] serves each batch inline (same responses,
-          no overlap) *)
 }
 
 val default_config : config
 (** No socket, unbounded registry, default pool width,
-    [batch_limit = 256], pipelined. *)
+    [batch_limit = 256]. *)
 
 val run :
   ?config:config ->

@@ -11,6 +11,11 @@ module Measures = Crossbar.Measures
 
 (* ---------- pool ---------- *)
 
+let two_class_model () =
+  Model.square ~size:6
+    ~classes:
+      [ poisson ~name:"p" 0.4; pascal ~name:"q" ~alpha:0.3 ~beta:0.1 () ]
+
 let test_pool_orders_results () =
   let sequential = Pool.run ~domains:1 ~tasks:200 (fun i -> i * i) in
   let parallel = Pool.run ~domains:4 ~tasks:200 (fun i -> i * i) in
@@ -62,6 +67,98 @@ let test_pool_first_failure_wins () =
   let again = Pool.run ~domains:4 ~tasks:10 (fun i -> i * 2) in
   check_int "pool reusable after failure" 18 again.(9)
 
+(* Spin until [flag] is set, for at most five seconds: a broken pool
+   fails the test instead of hanging it. *)
+let await_flag flag =
+  let started = Clock.now () in
+  while (not (Atomic.get flag)) && Clock.elapsed_since started < 5.0 do
+    Domain.cpu_relax ()
+  done;
+  Atomic.get flag
+
+let test_pool_nested_run_inline () =
+  (* A task calling Pool.run finds the worker domains busy and runs its
+     inner fan-out inline: same array as the all-sequential run. *)
+  let nested domains =
+    Pool.run ~domains ~tasks:6 (fun i ->
+        Pool.run ~domains ~tasks:9 (fun j -> (i * 100) + j))
+  in
+  check_bool "nested fan-out equals ~domains:1" true (nested 2 = nested 1)
+
+let test_pool_concurrent_run_inline () =
+  (* A second domain calling Pool.run while a fan-out is in flight gets
+     the same answer as ~domains:1 (it runs inline, never waits for the
+     busy workers). *)
+  let in_flight = Atomic.make false and answered = Atomic.make false in
+  let expected = Pool.run ~domains:1 ~tasks:50 (fun i -> i * 3) in
+  let second =
+    Domain.spawn (fun () ->
+        ignore (await_flag in_flight : bool);
+        let result = Pool.run ~domains:2 ~tasks:50 (fun i -> i * 3) in
+        Atomic.set answered true;
+        result)
+  in
+  let outer =
+    Pool.run ~domains:2 ~tasks:2 (fun i ->
+        Atomic.set in_flight true;
+        await_flag answered && i >= 0)
+  in
+  check_bool "second domain answered during the fan-out" true
+    (Array.for_all Fun.id outer);
+  check_bool "concurrent fan-out equals ~domains:1" true
+    (Domain.join second = expected)
+
+let test_pool_raise_after_every_band () =
+  (* Task 0 raises only once task 1 is running on the other band; the
+     exception must not surface before task 1 has finished. *)
+  let slow_started = Atomic.make false and slow_finished = Atomic.make false in
+  (match
+     Pool.run ~domains:2 ~tasks:2 (fun i ->
+         if i = 0 then begin
+           ignore (await_flag slow_started : bool);
+           failwith "task 0 failed"
+         end
+         else begin
+           Atomic.set slow_started true;
+           Unix.sleepf 0.02;
+           Atomic.set slow_finished true
+         end)
+   with
+  | _ -> Alcotest.fail "expected task 0's failure to propagate"
+  | exception Failure message ->
+      check_bool "task 0's failure" true (String.equal message "task 0 failed");
+      check_bool "the other band finished before the raise" true
+        (Atomic.get slow_finished));
+  check_bool "next run works" true
+    (Pool.run ~domains:2 ~tasks:4 (fun i -> i + 1) = [| 1; 2; 3; 4 |])
+
+let test_pool_batches_reuse_workers () =
+  (* Every daemon batch fans out on the same parked domains: after the
+     first two-tree batch, a thousand more leave the pool's size alone. *)
+  let module Batcher = Crossbar_serve.Batcher in
+  let module Registry = Crossbar_serve.Registry in
+  let module Protocol = Crossbar_serve.Protocol in
+  let registry = Registry.create () and telemetry = Telemetry.create () in
+  let model = two_class_model () in
+  let request id query = { Protocol.id = Json.Int id; query } in
+  let batch queries =
+    Batcher.execute ~domains:2 ~registry ~telemetry
+      (Array.of_list (List.mapi request queries))
+  in
+  ignore
+    (batch
+       [
+         Protocol.Solve { tree = "a"; model };
+         Protocol.Solve { tree = "b"; model };
+       ]);
+  let first = Crossbar.Band_pool.size () in
+  check_bool "first two-tree batch used the pool" true (first >= 1);
+  for _ = 1 to 1000 do
+    ignore
+      (batch [ Protocol.Blocking { tree = "a" }; Protocol.Blocking { tree = "b" } ])
+  done;
+  check_int "no pool growth per batch" first (Crossbar.Band_pool.size ())
+
 (* The CROSSBAR_DOMAINS override: valid values are honoured, malformed
    or non-positive values are a hard configuration error.  putenv has no
    inverse, so the original value (or a safe default) is always
@@ -98,11 +195,6 @@ let test_pool_env_override () =
           ignore (Pool.run ~tasks:2 Fun.id)))
 
 (* ---------- cache keying ---------- *)
-
-let two_class_model () =
-  Model.square ~size:6
-    ~classes:
-      [ poisson ~name:"p" 0.4; pascal ~name:"q" ~alpha:0.3 ~beta:0.1 () ]
 
 let test_cache_structural_hit () =
   let cache = Cache.create () in
@@ -704,6 +796,10 @@ let () =
           case "first failure wins" test_pool_first_failure_wins;
           case "bad arguments" test_pool_rejects_bad_arguments;
           case "CROSSBAR_DOMAINS override" test_pool_env_override;
+          case "nested run inline" test_pool_nested_run_inline;
+          case "concurrent run inline" test_pool_concurrent_run_inline;
+          case "raise after every band" test_pool_raise_after_every_band;
+          case "batches reuse the workers" test_pool_batches_reuse_workers;
         ] );
       ( "cache",
         [

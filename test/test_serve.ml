@@ -538,61 +538,72 @@ let test_multi_tree_batch_isolated () =
        (Json.to_string outcome.Batcher.responses.(3))
        (Json.to_string solo_b.Batcher.responses.(1)))
 
-let test_pipeline_shutdown_discards_inflight () =
+let test_stats_summary_is_to_json_minus_records () =
+  (* The daemon's stats summary is Telemetry.to_json without its record
+     list: same fields, same order, same values. *)
+  let model = small_model () in
   let registry = Registry.create () in
   let telemetry = Telemetry.create () in
-  let pipeline = Batcher.Pipeline.start ~domains:1 ~registry ~telemetry () in
-  Batcher.Pipeline.submit pipeline [| solve_request 0 (small_model ()) |];
-  (* No [collect]: shutdown waits out the executing batch, discards its
-     outcome, joins the worker and closes the pipe — the crash-cleanup
-     path [Server.run]'s finalizer relies on when an exception unwinds
-     past an in-flight batch. *)
-  Batcher.Pipeline.shutdown pipeline;
-  check_bool "notify pipe closed" true
-    (match
-       Unix.read (Batcher.Pipeline.descriptor pipeline) (Bytes.create 1) 0 1
-     with
-    | exception Unix.Unix_error (Unix.EBADF, _, _) -> true
-    | _ -> false)
+  ignore
+    (Batcher.execute ~domains:1 ~registry ~telemetry
+       [| solve_request 0 model; request 1 (Protocol.Blocking { tree = "t" }) |]);
+  let expected =
+    match Telemetry.to_json telemetry with
+    | Json.Assoc fields ->
+        Json.Assoc
+          (List.filter (fun (key, _) -> not (String.equal key "records")) fields)
+    | other -> other
+  in
+  check_bool "to_json ~records:false drops only the records" true
+    (String.equal
+       (Json.to_string expected)
+       (Json.to_string (Telemetry.to_json ~records:false telemetry)));
+  (* Taken before the stats request records itself. *)
+  let before = Json.to_string (Telemetry.to_json ~records:false telemetry) in
+  let outcome =
+    Batcher.execute ~domains:1 ~registry ~telemetry [| request 2 Protocol.Stats |]
+  in
+  match Json.member "telemetry" outcome.Batcher.responses.(0) with
+  | Some summary ->
+      check_bool "stats telemetry equals the record-free summary" true
+        (String.equal before (Json.to_string summary))
+  | None -> Alcotest.fail "stats missing telemetry"
 
-(* ---------- pipelined vs sequential serving ---------- *)
+(* ---------- the daemon over pipes ---------- *)
 
-(* Run [Server.run] in-process over pipes, write [lines], read exactly
-   one response line per request, and return the raw response bytes.
-   The stream ends with a shutdown so the server exits and joins. *)
-let run_server_over_pipes ~pipelined lines =
+let count_lines text =
+  String.fold_left (fun acc c -> if c = '\n' then acc + 1 else acc) 0 text
+
+(* Run [Server.run] in-process over pipes, write [lines] — [piece] bytes
+   per write — read exactly one response line per request, and return
+   the raw response bytes.  The stream ends with a shutdown so the
+   server exits. *)
+let run_server_over_pipes ?(piece = max_int) ~domains lines =
   let in_r, in_w = Unix.pipe ~cloexec:false () in
   let out_r, out_w = Unix.pipe ~cloexec:false () in
   let server =
     Domain.spawn (fun () ->
-        let config =
-          (* One batcher domain: the pipeline worker plus band workers
-             already oversubscribe a small CI machine. *)
-          { Server.default_config with domains = Some 1; pipelined }
-        in
+        let config = { Server.default_config with domains = Some domains } in
         Server.run ~config ~input:in_r ~output:out_w ())
   in
-  let payload =
-    Bytes.of_string (String.concat "" (List.map (fun l -> l ^ "\n") lines))
-  in
+  let payload = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
   let rec write_all offset =
-    if offset < Bytes.length payload then
-      match Unix.write in_w payload offset (Bytes.length payload - offset) with
+    if offset < String.length payload then
+      let length = min piece (String.length payload - offset) in
+      match Unix.write_substring in_w payload offset length with
       | written -> write_all (offset + written)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all offset
   in
   write_all 0;
   Unix.close in_w;
-  let expected = List.length lines in
+  let expected =
+    List.length
+      (List.filter (fun l -> not (String.equal (String.trim l) "")) lines)
+  in
   let buffer = Buffer.create 4096 in
   let chunk = Bytes.create 65536 in
-  let newlines () =
-    String.fold_left
-      (fun acc c -> if c = '\n' then acc + 1 else acc)
-      0 (Buffer.contents buffer)
-  in
   let rec read_responses () =
-    if newlines () < expected then
+    if count_lines (Buffer.contents buffer) < expected then
       match Unix.read out_r chunk 0 (Bytes.length chunk) with
       | 0 -> ()
       | n ->
@@ -607,24 +618,122 @@ let run_server_over_pipes ~pipelined lines =
   Unix.close out_w;
   Buffer.contents buffer
 
-let test_pipelined_matches_sequential_bytes () =
-  let model = small_model () in
-  (* The mixed stream is deterministic (no stats: telemetry timings
-     differ run to run); pipelining may group it into different batches
-     than sequential serving, and the response bytes must not care. *)
-  let lines =
-    Array.to_list (Array.map serialize (mixed_stream model))
-    @ [ serialize (request 9 Protocol.Shutdown) ]
+(* Two trees interleaved, with malformed and blank lines among them, so
+   a batch holds several tree groups for the pool to fan out.  No stats:
+   telemetry timings differ run to run. *)
+let two_tree_stream () =
+  let on_tree tree =
+    Array.map
+      (fun (r : Protocol.request) ->
+        let query =
+          match r.Protocol.query with
+          | Protocol.Solve { model; _ } -> Protocol.Solve { tree; model }
+          | Protocol.Delta { changes; _ } -> Protocol.Delta { tree; changes }
+          | Protocol.Blocking _ -> Protocol.Blocking { tree }
+          | Protocol.Shadow_costs { weights; _ } ->
+              Protocol.Shadow_costs { tree; weights }
+          | Protocol.Admit { class_index; weights; _ } ->
+              Protocol.Admit { tree; class_index; weights }
+          | (Protocol.Stats | Protocol.Shutdown) as q -> q
+        in
+        { r with Protocol.query })
+      (mixed_stream (small_model ()))
   in
-  let pipelined = run_server_over_pipes ~pipelined:true lines in
-  let sequential = run_server_over_pipes ~pipelined:false lines in
-  check_int "pipelined answers every request"
-    (List.length lines)
-    (String.fold_left
-       (fun acc c -> if c = '\n' then acc + 1 else acc)
-       0 pipelined);
-  check_bool "pipelined byte stream identical to sequential" true
-    (String.equal pipelined sequential)
+  let a = on_tree "a" and b = on_tree "b" in
+  List.concat
+    (List.init (Array.length a) (fun i -> [ serialize a.(i); serialize b.(i) ]))
+  @ [
+      {|{"id":7,"op":"nope"}|};
+      "";
+      "{not json";
+      serialize (request 9 Protocol.Shutdown);
+    ]
+
+let test_domain_counts_match_bytes () =
+  let lines = two_tree_stream () in
+  let one = run_server_over_pipes ~domains:1 lines in
+  let two = run_server_over_pipes ~domains:2 lines in
+  check_int "one domain answers every non-blank line"
+    (List.length lines - 1) (count_lines one);
+  check_bool "two domains: byte stream identical to one" true
+    (String.equal one two)
+
+let test_byte_writes_match_one_write () =
+  (* A line split across many reads is reassembled from the carry: one
+     response per line, byte-identical to the stream sent whole. *)
+  let lines = two_tree_stream () in
+  let whole = run_server_over_pipes ~domains:1 lines in
+  let trickled = run_server_over_pipes ~piece:1 ~domains:1 lines in
+  check_int "one response per non-blank line"
+    (List.length lines - 1) (count_lines trickled);
+  check_bool "1-byte writes: byte stream identical to one write" true
+    (String.equal whole trickled)
+
+let read_to_eof fd =
+  let buffer = Buffer.create 4096 and chunk = Bytes.create 4096 in
+  let rec loop () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents buffer
+    | n ->
+        Buffer.add_subbytes buffer chunk 0 n;
+        loop ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+  in
+  loop ()
+
+let test_half_closed_client_answered () =
+  (* A socket client that sends its requests and shuts down its write
+     side still gets every response before the daemon closes it. *)
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "crossbar_serve_test_%d.sock" (Unix.getpid ()))
+  in
+  let in_r, in_w = Unix.pipe ~cloexec:false () in
+  let out_r, out_w = Unix.pipe ~cloexec:false () in
+  let server =
+    Domain.spawn (fun () ->
+        let config =
+          { Server.default_config with socket_path = Some path; domains = Some 1 }
+        in
+        Server.run ~config ~input:in_r ~output:out_w ())
+  in
+  let rec connect attempts =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when attempts > 0 ->
+        Unix.close fd;
+        Unix.sleepf 0.01;
+        connect (attempts - 1)
+  in
+  let client = connect 500 in
+  let model = small_model () in
+  let lines =
+    [
+      serialize (solve_request 0 model);
+      serialize (request 1 (Protocol.Blocking { tree = "t" }));
+      serialize
+        (request 2
+           (Protocol.Shadow_costs { tree = "t"; weights = [| 1.0; 0.25 |] }));
+    ]
+  in
+  let payload = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  ignore (Unix.write_substring client payload 0 (String.length payload) : int);
+  Unix.shutdown client Unix.SHUTDOWN_SEND;
+  let answers = read_to_eof client in
+  Unix.close client;
+  let stop = serialize (request 3 Protocol.Shutdown) ^ "\n" in
+  ignore (Unix.write_substring in_w stop 0 (String.length stop) : int);
+  Domain.join server;
+  List.iter Unix.close [ in_r; in_w; out_r; out_w ];
+  check_int "every request answered" 3 (count_lines answers);
+  check_bool "all ok" true
+    (List.for_all
+       (fun line ->
+         match Json.of_string line with Ok json -> ok json | Error _ -> false)
+       (List.filter (fun l -> l <> "") (String.split_on_char '\n' answers)))
 
 let test_server_config_validation () =
   let config batch_limit capacity domains =
@@ -737,13 +846,17 @@ let () =
           case "admit semantics" test_admit_semantics;
           case "stats and shutdown" test_stats_and_shutdown;
           case "multi-tree batch isolated" test_multi_tree_batch_isolated;
-          case "pipeline shutdown discards an uncollected batch"
-            test_pipeline_shutdown_discards_inflight;
+          case "stats summary is to_json minus records"
+            test_stats_summary_is_to_json_minus_records;
         ] );
       ( "daemon",
         [
-          case "pipelined equals sequential byte-for-byte"
-            test_pipelined_matches_sequential_bytes;
+          case "one and two domains byte-identical"
+            test_domain_counts_match_bytes;
+          case "1-byte writes match one write"
+            test_byte_writes_match_one_write;
+          case "half-closed socket client answered"
+            test_half_closed_client_answered;
           case "config validation names offending values"
             test_server_config_validation;
           case "end to end over stdin" test_end_to_end_stdin;

@@ -57,6 +57,12 @@ let dispatch_lock = Mutex.create ()
 
 let workers : (mailbox * unit Domain.t) array Atomic.t = Atomic.make [||]
 
+(* Multi-band dispatches so far, the count the idle alarm saw last, and
+   the alarm itself (all written under [dispatch_lock]). *)
+let dispatches = Atomic.make 0
+let dispatches_seen = Atomic.make (-1)
+let idle_alarm : Gc.alarm option Atomic.t = Atomic.make None
+
 let rec worker_wait mb =
   match mb.state with
   | Armed ->
@@ -105,9 +111,69 @@ let spawn_worker () =
   (* lint: guarded=mb alloc=tuple,closure -- hand-off under mb.lock *)
   (mb, Domain.spawn (fun () -> worker_loop mb))
 
-(* Grow the pool to at least [wanted] workers.  Caller holds
-   [dispatch_lock]. *)
+let quit_worker (mb, _) =
+  Mutex.lock mb.lock;
+  mb.state <- Quit;
+  Condition.signal mb.signal;
+  Mutex.unlock mb.lock
+
+let join_worker (_, d) = Domain.join d
+
+let drop_alarm () =
+  Option.iter Gc.delete_alarm (Atomic.get idle_alarm);
+  Atomic.set idle_alarm None
+
+(* Quit every worker and drop the idle alarm; returns the domains to
+   join once [dispatch_lock] is released.  Caller holds the lock, so no
+   run is in flight: every worker is idle or about to re-check its
+   state. *)
+let stop_workers () =
+  let ws = Atomic.get workers in
+  Atomic.set workers [||];
+  Array.iter quit_worker ws;
+  drop_alarm ();
+  ws
+
+let rec is_worker ws self i =
+  i < Array.length ws
+  && (Domain.get_id (snd ws.(i)) = self || is_worker ws self (i + 1))
+
+(* Parked workers are not free: while one exists, every minor collection
+   of any domain is a stop-the-world rendezvous that the parked domain
+   must wake for, about 70-80 us of extra CPU per collection on a
+   2-vCPU host.  A process that allocates between rare fan-outs (a sweep
+   rebuilding its points) would pay that on every collection, so
+   workers that served no fan-out during a whole major GC cycle retire,
+   and the next fan-out starts them again.  The alarm runs on the domain
+   that started the pool, or on whichever domain adopts its finalisers
+   once that domain exits.  It leaves a busy pool alone.  A worker that
+   adopted it cannot join itself, so it drops the alarm, and the next
+   fan-out arms a new one on its dispatching domain. *)
+let retire_if_idle () =
+  if Mutex.try_lock dispatch_lock then begin
+    let count = Atomic.get dispatches in
+    let retired =
+      if is_worker (Atomic.get workers) (Domain.self ()) 0 then begin
+        drop_alarm ();
+        [||]
+      end
+      else if count = Atomic.get dispatches_seen then stop_workers ()
+      else begin
+        Atomic.set dispatches_seen count;
+        [||]
+      end
+    in
+    Mutex.unlock dispatch_lock;
+    Array.iter join_worker retired
+  end
+
+(* Grow the pool to at least [wanted] workers, arming the idle alarm
+   if none is armed.  Caller holds [dispatch_lock]. *)
 let ensure wanted =
+  if Option.is_none (Atomic.get idle_alarm) then begin
+    Atomic.set dispatches_seen (-1);
+    Atomic.set idle_alarm (Some (Gc.create_alarm retire_if_idle))
+  end;
   let current = Atomic.get workers in
   let have = Array.length current in
   if have >= wanted then current
@@ -186,6 +252,7 @@ let run ~bands f =
         Mutex.unlock dispatch_lock;
         raise e
     | ws ->
+        Atomic.incr dispatches;
         for band = 1 to bands - 1 do
           let mb, _ = ws.(band - 1) in
           arm mb f band
@@ -203,17 +270,6 @@ let size () = Array.length (Atomic.get workers)
 
 let shutdown () =
   Mutex.lock dispatch_lock;
-  let ws = Atomic.get workers in
-  Atomic.set workers [||];
-  (* Quit each mailbox before unlocking dispatch: no run can be in
-     flight (we hold the lock), so every worker is idle or about to
-     re-check its state. *)
-  Array.iter
-    (fun (mb, _) ->
-      Mutex.lock mb.lock;
-      mb.state <- Quit;
-      Condition.signal mb.signal;
-      Mutex.unlock mb.lock)
-    ws;
+  let ws = stop_workers () in
   Mutex.unlock dispatch_lock;
-  Array.iter (fun (_, d) -> Domain.join d) ws
+  Array.iter join_worker ws

@@ -348,6 +348,22 @@ let test_pool_degenerate () =
   Helpers.check_raises_invalid "bands=0 rejected" (fun () ->
       Band_pool.run ~bands:0 (fun _ -> ()))
 
+let test_pool_idle_workers_retire () =
+  (* Workers that serve no fan-out during a whole major GC cycle retire
+     (a full major GC ends at least two cycles); the next dispatch starts
+     them again.  Shut down first so this domain arms the alarm. *)
+  Band_pool.shutdown ();
+  Band_pool.run ~bands:2 (fun _ -> ());
+  Helpers.check_int "one worker parked" 1 (Band_pool.size ());
+  Gc.full_major ();
+  Gc.full_major ();
+  Helpers.check_int "idle workers retired" 0 (Band_pool.size ());
+  let hit = Array.make 2 false in
+  Band_pool.run ~bands:2 (fun i -> hit.(i) <- true);
+  Helpers.check_bool "next dispatch covers every band" true
+    (Array.for_all Fun.id hit);
+  Helpers.check_int "worker started again" 1 (Band_pool.size ())
+
 (* Operand capacities straddling the default threshold: below it the
    combine stays sequential, at or above it the pool dispatch runs — and
    either way the result must match the single-band kernel bit for
@@ -556,6 +572,7 @@ let () =
           Helpers.case "caller band outranks worker failures"
             test_pool_caller_band_wins;
           Helpers.case "degenerate band counts" test_pool_degenerate;
+          Helpers.case "idle workers retire" test_pool_idle_workers_retire;
         ] );
       ( "arena recycling",
         [

@@ -665,6 +665,105 @@ let serve_benches ~smoke =
   in
   (json, worst_ulp, replay_ok, speedup8)
 
+(* ---------- part 2c: JSON writer ---------- *)
+
+(* Median wall time of [samples] runs of [f]. *)
+let median_seconds ~samples f =
+  let windows =
+    List.init samples (fun _ ->
+        let started = Engine.Clock.now () in
+        f ();
+        Engine.Clock.elapsed_since started)
+  in
+  (* lint: disable=R7 — total order for sorting, not a tolerance test *)
+  List.nth (List.sort Float.compare windows) (samples / 2)
+
+(* What the daemon's serialise stage costs: ns per [Json.to_string] of
+   one float literal, over every float the serve workload's responses
+   carry, and us per [Protocol.response_to_line] over those responses,
+   per R.  Reported, not gated: absolute times say nothing portable.
+   Each figure is the median of [samples] windows. *)
+let json_benches ~smoke =
+  line "JSON writer: float literals and serve responses";
+  (* Windows of 20+ ms: shorter ones read the host's noise. *)
+  let runs = if smoke then 100 else 500 in
+  let samples = 5 in
+  let mixes =
+    List.map
+      (fun classes ->
+        let requests, _, _ = serve_workload ~classes ~size:32 ~rounds:10 in
+        let outcome =
+          Batcher.execute ~domains:1 ~registry:(Registry.create ())
+            ~telemetry:(Engine.Telemetry.create ()) requests
+        in
+        (classes, outcome.Batcher.responses))
+      [ 2; 4; 8 ]
+  in
+  let floats =
+    Array.of_list
+      (List.concat_map
+         (fun (_, responses) ->
+           Array.fold_left (fun acc r -> float_leaves acc r) [] responses)
+         mixes)
+  in
+  let literals = Array.map (fun f -> Json.Float f) floats in
+  let seconds =
+    median_seconds ~samples (fun () ->
+        for _ = 1 to runs do
+          Array.iter (fun j -> ignore (Json.to_string j : string)) literals
+        done)
+  in
+  let ns_per_float =
+    seconds /. float_of_int (runs * Array.length literals) *. 1e9
+  in
+  Printf.printf "float literal: %d floats x %d runs  %.1f ns/float\n"
+    (Array.length literals) runs ns_per_float;
+  let response_rows =
+    List.map
+      (fun (classes, responses) ->
+        let n = Array.length responses in
+        let bytes =
+          Array.fold_left
+            (fun acc r -> acc + String.length (Protocol.response_to_line r))
+            0 responses
+        in
+        let seconds =
+          median_seconds ~samples (fun () ->
+              for _ = 1 to runs do
+                Array.iter
+                  (fun r -> ignore (Protocol.response_to_line r : string))
+                  responses
+              done)
+        in
+        let us = seconds /. float_of_int (runs * n) *. 1e6 in
+        let bytes_per_response = float_of_int bytes /. float_of_int n in
+        Printf.printf "R=%d responses=%d  %.0f B/response  %.2f us/response\n"
+          classes n bytes_per_response us;
+        Json.Assoc
+          [
+            ("classes", Json.Int classes);
+            ("responses", Json.Int n);
+            ("bytes_per_response", Json.Float bytes_per_response);
+            ("us_per_response", Json.Float us);
+          ])
+      mixes
+  in
+  Json.Assoc
+    [
+      ( "float",
+        Json.List
+          [
+            Json.Assoc
+              [
+                ("floats", Json.Int (Array.length literals));
+                ("runs", Json.Int runs);
+                ("samples", Json.Int samples);
+                ("ns_per_float", Json.Float ns_per_float);
+              ];
+          ] );
+      ("response", Json.List response_rows);
+    ]
+
 (* ---------- part 2d: combine kernel microbenchmarks ---------- *)
 
 module Conv = Crossbar.Convolution
@@ -869,16 +968,12 @@ let pool_dispatch_row ~smoke =
   for _ = 1 to 100 do
     empty ()
   done;
-  let windows =
-    List.init samples (fun _ ->
-        let started = Engine.Clock.now () in
+  let seconds =
+    median_seconds ~samples (fun () ->
         for _ = 1 to runs do
           empty ()
-        done;
-        Engine.Clock.elapsed_since started)
+        done)
   in
-  (* lint: disable=R7 — total order for sorting, not a tolerance test *)
-  let seconds = List.nth (List.sort Float.compare windows) (samples / 2) in
   let us_per_run = seconds /. float_of_int runs *. 1e6 in
   line "Engine pool: empty Pool.run ~domains:2 ~tasks:2";
   Printf.printf "%d runs  %.5fs  %.2f us/run  (median of %d windows)\n" runs
@@ -1022,7 +1117,7 @@ let benchmark () =
 
 (* ---------- JSON perf snapshot ---------- *)
 
-let snapshot ~mode ~telemetry ~sweeps ~factor_tree ~serve ~kernel ~pool
+let snapshot ~mode ~telemetry ~sweeps ~factor_tree ~serve ~json ~kernel ~pool
     ~replications ~timings =
   let solves = Engine.Telemetry.solves telemetry in
   let cache_hits =
@@ -1042,6 +1137,7 @@ let snapshot ~mode ~telemetry ~sweeps ~factor_tree ~serve ~kernel ~pool
       ("sweeps", sweeps);
       ("factor_tree", factor_tree);
       ("serve", serve);
+      ("json", json);
       ("kernel", kernel);
       ("pool", pool);
       ("replications", replications);
@@ -1082,7 +1178,7 @@ let validate_snapshot path =
       let required =
         [
           "schema"; "mode"; "domains"; "cache"; "telemetry"; "sweeps";
-          "factor_tree"; "serve"; "kernel"; "pool"; "replications";
+          "factor_tree"; "serve"; "json"; "kernel"; "pool"; "replications";
         ]
       in
       List.iter
@@ -1255,6 +1351,7 @@ let () =
   let serve, serve_ulp, serve_replay_ok, serve8_speedup =
     serve_benches ~smoke
   in
+  let json = json_benches ~smoke in
   let pool = pool_dispatch_row ~smoke in
   let kernel, kernel_combine8, kernel_parallel8 =
     kernel_benches ~smoke
@@ -1268,8 +1365,8 @@ let () =
   | None -> ()
   | Some path ->
       write_snapshot path
-        (snapshot ~mode ~telemetry ~sweeps ~factor_tree ~serve ~kernel ~pool
-           ~replications ~timings);
+        (snapshot ~mode ~telemetry ~sweeps ~factor_tree ~serve ~json ~kernel
+           ~pool ~replications ~timings);
       let json = validate_snapshot path in
       let solve_count =
         match Json.member "telemetry" json with

@@ -52,8 +52,8 @@ module Logspace = Crossbar_numerics.Logspace
    spans was normalised by, the current combine's output frames (see
    [load_frames]), and a free list of result-sized lattices
    recycled by [Factor_tree.update ~recycle] and the leave-one-out
-   sweep.  One arena exists per (context,
-   domain) pair — reached through a [Domain.DLS] key, so combines issued
+   sweep.  One arena exists per (context, domain) pair — kept in the
+   domain's own bounded table (see [arena]), so combines issued
    concurrently by a pool mapper never share scratch. *)
 module Arena = struct
   type t = {
@@ -117,7 +117,6 @@ type context = {
   band_threshold : int; (* cap >= this: parallelise a single combine *)
   band_domains : int; (* bands (domains) a banded combine splits into *)
   banded_total : int Atomic.t; (* banded combines through this context *)
-  arenas : Arena.t Domain.DLS.key;
 }
 
 let imin (a : int) b = if a <= b then a else b
@@ -243,14 +242,49 @@ let context_of ?tile ?combine_threshold ?band_domains ~inputs ~outputs () =
     band_threshold;
     band_domains;
     banded_total = Atomic.make 0;
-    arenas =
-      Domain.DLS.new_key (fun () ->
-          Arena.create ~cap ~spans:((cap lsr span_log2) + 1));
   }
 
 let context_capacity ctx = ctx.cap
-let arena ctx = Domain.DLS.get ctx.arenas
 let banded_total ctx = Atomic.get ctx.banded_total
+
+(* Bound on the shared context cache below, and on each domain's
+   arenas: a working set of this many switch shapes keeps every
+   context's arena (and its recycled lattices) on every domain. *)
+let shared_context_limit = 8
+
+(* Each domain's arenas, one per context it combined under lately, most
+   recent first and at most [shared_context_limit] of them.  One key for
+   the module: OCaml never frees a DLS key, so a key per context would
+   keep an evicted context's arenas alive on every domain it ever
+   combined on.  Entries are matched by physical identity. *)
+let domain_arenas : (context * Arena.t) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let rec without ctx n = function
+  | [] -> []
+  | _ when n <= 0 -> []
+  | ((c, _) as entry) :: rest ->
+      if c == ctx then without ctx n rest
+      else entry :: without ctx (n - 1) rest
+
+let arena_miss recent ctx =
+  let arena =
+    match List.assq_opt ctx !recent with
+    | Some arena -> arena
+    | None ->
+        Arena.create ~cap:ctx.cap ~spans:((ctx.cap lsr ctx.span_log2) + 1)
+  in
+  (* lint: alloc=tuple -- MRU reorder, on a context switch only *)
+  recent := (ctx, arena) :: without ctx (shared_context_limit - 1) !recent;
+  arena
+
+(* The hot path is one DLS read and a front-slot [==]: no allocation
+   while a domain keeps combining under one context. *)
+let arena ctx =
+  let recent = Domain.DLS.get domain_arenas in
+  match !recent with
+  | (c, arena) :: _ when c == ctx -> arena
+  | _ -> arena_miss recent ctx
 
 (* Process-wide bounded MRU cache of contexts, keyed on the switch
    dimensions and the resolved knobs.  A context's tables are O(cap),
@@ -260,8 +294,6 @@ let banded_total ctx = Atomic.get ctx.banded_total
    evicts a tree actually reach the next build of that shape.  Env knobs
    are resolved per call, so changing CROSSBAR_COMBINE_THRESHOLD or
    CROSSBAR_DOMAINS yields a distinct key (and a fresh context). *)
-let shared_context_limit = 8
-
 let shared_context_lock = Mutex.create ()
 
 let shared_contexts : ((int * int * int * int * int) * context) list Atomic.t =
@@ -369,7 +401,7 @@ let accumulate (m, e) x k =
    current domain's arena (zeroed), so a steady-state update loop
    rebuilds leaves into recycled storage. *)
 let factor_of ctx ~a ~rho ~theta =
-  let seq = Arena.acquire (Domain.DLS.get ctx.arenas) ~cap:ctx.cap ~stride:a in
+  let seq = Arena.acquire (arena ctx) ~cap:ctx.cap ~stride:a in
   Lattice.set seq 0 1.;
   let last =
     let sources = Float.round (rho /. -.theta) in
@@ -713,7 +745,7 @@ let combine_banded ctx counter arena ~sa ~sb ~tilt result =
    attributes banded combines to the context's running total only. *)
 let combine_into ctx counter a b =
   let sa = Lattice.stride a and sb = Lattice.stride b in
-  let arena = Domain.DLS.get ctx.arenas in
+  let arena = arena ctx in
   let tilt = tilt_for ctx a b in
   load_rebased ~tilt ctx arena.Arena.left arena.Arena.left_shift a;
   load_rebased ~tilt ctx arena.Arena.right arena.Arena.right_shift b;
@@ -936,7 +968,7 @@ module Factor_tree = struct
         (* lint: alloc=record -- unchanged classes: one record, no combines *)
         { t with model; combines = 0; banded = 0 }
     | Some changed ->
-        let arena = Domain.DLS.get t.ctx.arenas in
+        let arena = arena t.ctx in
         (* lint: alloc=counter -- solve-local banded counter, one per update *)
         let counter = Atomic.make 0 in
         (* lint: alloc=levels -- spine copy, O(log R); nodes stay shared *)
@@ -1002,7 +1034,7 @@ module Factor_tree = struct
           (function Some l -> l | None -> unit_profile t.ctx.cap)
           !comp
       in
-      release_unreturned (Domain.DLS.get t.ctx.arenas) result !fresh;
+      release_unreturned (arena t.ctx) result !fresh;
       result
     end
 end
@@ -1125,7 +1157,7 @@ let correlate ctx (f : Lattice.values) shift ~stride ~coef ~coef_exp dst i x =
    since P(N_i - j, u) = P(N_i, u + j) / P(N_i, j) makes the depth-j
    ratio the combine weight R(u) R(j) / R(u + j). *)
 let diagonal ctx h =
-  let arena = Domain.DLS.get ctx.arenas in
+  let arena = arena ctx in
   (* From the arena free list: a recycled tree's diagonal is re-acquired
      by the next solve of the same shape. *)
   let diag = Arena.acquire arena ~cap:ctx.cap ~stride:1 in
@@ -1221,7 +1253,7 @@ let shifted_diagonal ctx (tree : Factor_tree.t) r =
   in
   let root, fresh = climb 0 r leaf [ leaf ] in
   let diag = diagonal ctx root in
-  List.iter (Arena.release (Domain.DLS.get ctx.arenas)) fresh;
+  List.iter (Arena.release (arena ctx)) fresh;
   diag
 
 (* The paper's Section 6 scheme kept one scale per profile and rescaled
@@ -1307,7 +1339,7 @@ let solve_delta ?(recycle = false) ~previous model =
      diagonals below are computed from the updated tree, so the previous
      solve's diagonals can seed the free list first. *)
   if recycle then
-    release_diagonals (Domain.DLS.get previous.ctx.arenas) previous;
+    release_diagonals (arena previous.ctx) previous;
   of_tree tree
 
 (* Returns every lattice a dropped solve owns to the current domain's
@@ -1318,7 +1350,7 @@ let solve_delta ?(recycle = false) ~previous model =
    guarantee nothing else references [t] — e.g. a serve registry entry
    evicted once the batch that evicted it has fully drained. *)
 let recycle t =
-  let arena = Domain.DLS.get t.ctx.arenas in
+  let arena = arena t.ctx in
   let levels = t.tree.Factor_tree.levels in
   let leaves = levels.(0) in
   for i = 0 to Array.length leaves - 1 do
@@ -1376,7 +1408,7 @@ let concurrencies_at_depth t ~depth =
    against it, so only those below 2^-1074 of the peak read as zero. *)
 let marginal_weights ctx own comp =
   let a = Lattice.stride own in
-  let arena = Domain.DLS.get ctx.arenas in
+  let arena = arena ctx in
   load_rebased ctx arena.Arena.right arena.Arena.right_shift comp;
   let last = ctx.cap / a in
   let w = Lattice.create ~capacity:last () in

@@ -76,12 +76,12 @@ type context
 (** Combine environment for one switch size: the [O(cap)] tables of
     [R(x) = 1/(P(N1,x) P(N2,x))] (mantissa and binary exponent, plus
     per-span ratios), the rebase span, kernel tile size, banding
-    threshold and domain count, the per-domain {!Arena} key and the
-    banded-combine counter.  {!Factor_tree.build} resolves its context
-    through a bounded process-wide cache keyed on the dimensions and
-    resolved knobs, so repeated solves of one switch shape share the
-    tables and — through the shared arenas — each other's recycled
-    profiles.  {!context_of} always builds a fresh, unshared context. *)
+    threshold and domain count, and the banded-combine counter.
+    {!Factor_tree.build} resolves its context through a bounded
+    process-wide cache keyed on the dimensions and resolved knobs, so
+    repeated solves of one switch shape share the tables and — through
+    the shared arenas — each other's recycled profiles.  {!context_of}
+    always builds a fresh, unshared context. *)
 
 val default_combine_threshold : int
 (** The built-in banding threshold (2048) used when neither the
@@ -117,7 +117,11 @@ val context_capacity : context -> int
 (** [min inputs outputs]. *)
 
 val arena : context -> Arena.t
-(** The calling domain's arena (created on first use). *)
+(** The calling domain's arena for this context, created on first use.
+    Each domain keeps the arenas of the 8 contexts it used most
+    recently (the size of the shared context cache); a context pushed
+    out of that set gets a fresh arena on its next use, and its old one
+    — with the lattices on its free list — becomes garbage. *)
 
 val banded_total : context -> int
 (** Combines this context has run through the banded parallel kernel,

@@ -17,7 +17,16 @@ type t =
   | Assoc of (string * t) list
 
 val to_string : t -> string
-(** Compact single-line rendering. *)
+(** Compact single-line rendering.  A float prints as the shortest
+    decimal that reads back to the same bits (at most 17 significant
+    digits; the closest such decimal when several qualify), in plain
+    notation for [1e-6 <= |f| < 1e21] and as [de±x] outside it.  An
+    integral value keeps a [.0] and a non-finite one prints as [null],
+    so every float token re-parses as [Float]. *)
+
+val to_buffer : Buffer.t -> t -> unit
+(** [to_buffer b json] appends {!to_string}[ json] to [b] without
+    building the string. *)
 
 val pp : Format.formatter -> t -> unit
 (** Indented rendering (2-space), suitable for checked-in snapshots. *)
@@ -25,8 +34,11 @@ val pp : Format.formatter -> t -> unit
 val of_string : string -> (t, string) result
 (** Strict parser for the subset {!to_string}/{!pp} emit (all of JSON
     except exotic escapes [\uXXXX] surrogate pairs are passed through
-    unvalidated).  Numbers with a fractional part, exponent, or outside
-    [int] range parse as [Float]. *)
+    unvalidated).  Numbers follow RFC 8259's grammar
+    ([-?(0|[1-9][0-9]* )(.[0-9]+)?([eE][+-]?[0-9]+)?]): a leading [+],
+    leading zeros, a bare [.] or an empty exponent are errors.  Numbers
+    with a fractional part, exponent, or outside [int] range parse as
+    [Float]. *)
 
 val member : string -> t -> t option
 (** [member key (Assoc _)] looks up a field; [None] on anything else. *)

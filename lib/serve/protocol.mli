@@ -78,7 +78,9 @@ val error_response : id:Json.t -> string -> Json.t
     [Json.Null] as the id. *)
 
 val response_to_line : Json.t -> string
-(** Compact one-line rendering of a response. *)
+(** Compact one-line rendering of a response: {!Json.to_string}.  The
+    server writes the same bytes straight into its output buffer with
+    {!Json.to_buffer}. *)
 
 val op_name : query -> string
 (** The wire [op] tag: ["solve"], ["delta"], ... *)

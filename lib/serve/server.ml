@@ -194,7 +194,8 @@ let run ?(config = default_config) ~input ~output () =
               outcome.Batcher.responses.(!next - 1)
         in
         conn.queued <- conn.queued - 1;
-        Buffer.add_string conn.outbox (Protocol.response_to_line response);
+        (* Serialised in place: no per-response string. *)
+        Json.to_buffer conn.outbox response;
         Buffer.add_char conn.outbox '\n')
       batch;
     List.iter flush_outbox !conns;

@@ -2,7 +2,8 @@
 # Smoke-test the crossbar_serve daemon: one query of every kind over
 # stdin/stdout, then (when python3 is available) the same mixed stream
 # through the Unix-domain socket.  Any ok:false response, missing
-# response, or hung daemon fails the script.
+# response, or hung daemon fails the script; with python3, so does any
+# response line its json module rejects (NaN and Infinity included).
 #
 # Usage: scripts/serve_smoke.sh [path-to-crossbar_serve.exe] [output.jsonl]
 #
@@ -76,13 +77,34 @@ for id in 7 8; do
     exit 1
   fi
 done
-echo "stdin round: 10/10 ok"
 
-# ---- round 2: same stream through the Unix-domain socket ----
+# Every response line must be strict JSON to an independent parser:
+# NaN/Infinity (which RFC 8259 lacks) and any invalid token fail.
+check_json_lines() {
+  python3 -c '
+import json, sys
+
+def reject(token):
+    raise ValueError("non-RFC 8259 constant " + token)
+
+for number, line in enumerate(open(sys.argv[1]), 1):
+    try:
+        json.loads(line, parse_constant=reject)
+    except ValueError as err:
+        sys.exit("FATAL: response line %d is not valid JSON (%s): %s"
+                 % (number, err, line.rstrip()))
+' "$1"
+}
+
 if ! command -v python3 >/dev/null 2>&1; then
-  echo "python3 not found; skipping the socket round"
+  echo "stdin round: 10/10 ok"
+  echo "python3 not found; skipping the JSON check and the socket round"
   exit 0
 fi
+check_json_lines "$OUT"
+echo "stdin round: 10/10 ok, valid JSON"
+
+# ---- round 2: same stream through the Unix-domain socket ----
 
 SOCK="$(mktemp -u "${TMPDIR:-/tmp}/crossbar-serve-XXXXXX.sock")"
 timeout 60 "$SERVE" --socket "$SOCK" --domains 2 >/dev/null 2>&1 < /dev/null &
@@ -131,14 +153,20 @@ while data.count(b"\n") < len(requests):
         break
     data += chunk
 
+def reject(token):
+    raise ValueError("non-RFC 8259 constant " + token)
+
 lines = [line for line in data.decode().split("\n") if line.strip()]
 if len(lines) != len(requests):
     sys.exit(f"FATAL: expected {len(requests)} socket responses, got {len(lines)}")
 for line in lines:
-    response = json.loads(line)
+    try:
+        response = json.loads(line, parse_constant=reject)
+    except ValueError as err:
+        sys.exit(f"FATAL: socket response is not valid JSON ({err}): {line}")
     if not response.get("ok"):
         sys.exit(f"FATAL: socket query failed: {response}")
-print(f"socket round: {len(lines)}/{len(requests)} ok")
+print(f"socket round: {len(lines)}/{len(requests)} ok, valid JSON")
 PYEOF
 
 status=0

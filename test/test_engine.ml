@@ -725,13 +725,125 @@ let test_json_float_fidelity () =
   check_bool "nan is null" true
     (String.equal (Json.to_string (Json.Float Float.nan)) "null")
 
+(* ---------- shortest round-trip floats ---------- *)
+
+let float_token f = Json.to_string (Json.Float f)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Significant digits of a float token: its mantissa's digits without
+   leading or trailing zeros ("100.0" has 1, "0.0025" has 2). *)
+let significant_digits token =
+  let mantissa =
+    match String.index_opt token 'e' with
+    | Some i -> String.sub token 0 i
+    | None -> token
+  in
+  let digits =
+    String.concat ""
+      (String.split_on_char '.'
+         (String.concat "" (String.split_on_char '-' mantissa)))
+  in
+  let n = String.length digits in
+  let first = ref 0 and last = ref (n - 1) in
+  while !first < n && digits.[!first] = '0' do
+    incr first
+  done;
+  while !last >= !first && digits.[!last] = '0' do
+    decr last
+  done;
+  !last - !first + 1
+
+(* The oracle: the fewest digits n in 1..17 for which C's correctly
+   rounded "%.*e" reads back as [f].  Reading back is monotone in n
+   (the nearest n-digit decimal is never closer than the nearest
+   (n+1)-digit one), so a binary search finds it. *)
+let printf_shortest_digits f =
+  let reads_back n =
+    same_bits (float_of_string (Printf.sprintf "%.*e" (n - 1) f)) f
+  in
+  let rec search lo hi =
+    (* reads_back hi; not (reads_back (lo - 1)) *)
+    if lo >= hi then hi
+    else
+      let mid = (lo + hi) / 2 in
+      if reads_back mid then search lo mid else search (mid + 1) hi
+  in
+  search 1 17
+
+let check_float_token f =
+  let token = float_token f in
+  (match Json.of_string token with
+  | Ok (Json.Float g) when same_bits f g -> ()
+  | Ok _ | Error _ ->
+      QCheck2.Test.fail_reportf "%h -> %S does not read back" f token);
+  if not (String.contains token '.' || String.contains token 'e') then
+    QCheck2.Test.fail_reportf "%S would re-read as an Int" token;
+  if Float.abs f > 0. && significant_digits token > printf_shortest_digits f
+  then
+    QCheck2.Test.fail_reportf "%S has %d digits; %d suffice" token
+      (significant_digits token) (printf_shortest_digits f);
+  if not (String.equal (Format.asprintf "%a" Json.pp (Json.Float f)) token)
+  then QCheck2.Test.fail_reportf "Json.pp disagrees with %S" token;
+  true
+
+(* Raw 64-bit patterns, one in eight with a zero exponent (subnormals
+   and zeros); an all-ones exponent (infinity, NaN) loses its top bit. *)
+let finite_bits_gen =
+  let open QCheck2.Gen in
+  let exponent = 0x7ff0000000000000L in
+  map2
+    (fun raw subnormal ->
+      let raw =
+        if subnormal then Int64.logand raw (Int64.lognot exponent) else raw
+      in
+      if Int64.equal (Int64.logand raw exponent) exponent then
+        Int64.logxor raw 0x4000000000000000L
+      else raw)
+    ui64
+    (map (fun k -> k = 0) (int_bound 7))
+
+let shortest_round_trip =
+  QCheck2.Test.make ~name:"shortest round-trip floats" ~count:100_000
+    ~print:(fun bits ->
+      Printf.sprintf "%Ld (%h)" bits (Int64.float_of_bits bits))
+    finite_bits_gen
+    (fun bits -> check_float_token (Int64.float_of_bits bits))
+
+let test_json_float_tokens () =
+  List.iter
+    (fun (f, expected) ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) expected (float_token f);
+      ignore (check_float_token f : bool))
+    [
+      (0.0, "0.0");
+      (-0.0, "-0.0");
+      (5e-324, "5e-324");
+      (Float.min_float, "2.2250738585072014e-308");
+      (Float.max_float, "1.7976931348623157e308");
+      (9007199254740992., "9007199254740992.0");
+      (1e21, "1e21");
+      (1e20, "100000000000000000000.0");
+      (1e-7, "1e-7");
+      (1e-6, "0.000001");
+      (0.1, "0.1");
+      (1.0, "1.0");
+      (100.0, "100.0");
+      (-2.5e-300, "-2.5e-300");
+      (0.062992125984251968, "0.06299212598425197");
+    ]
+
 let test_json_rejects_malformed () =
   List.iter
     (fun text ->
       match Json.of_string text with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted malformed JSON %S" text)
-    [ "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; ""; "{\"a\" 1}"; "\"unterminated" ]
+    [
+      "{"; "[1,]"; "{\"a\":}"; "tru"; "1 2"; ""; "{\"a\" 1}"; "\"unterminated";
+      (* RFC 8259's number grammar *)
+      "+1"; "01"; "00"; "-01"; "1."; ".5"; "-"; "1e"; "1e+"; "-.5"; "[1.]";
+      "{\"a\":+1}"; "NaN"; "Infinity";
+    ]
 
 let test_json_member () =
   check_bool "member finds field" true
@@ -852,5 +964,7 @@ let () =
           case "float fidelity" test_json_float_fidelity;
           case "rejects malformed" test_json_rejects_malformed;
           case "member" test_json_member;
+          case "float tokens" test_json_float_tokens;
+          qcheck shortest_round_trip;
         ] );
     ]

@@ -488,6 +488,24 @@ let test_arena_reuse_plateau () =
   Helpers.check_bool "warmed-up updates are served from the free list" true
     (Conv.Arena.reused arena > 0)
 
+(* A domain keeps the arenas of its 8 most recently used contexts: one
+   pushed out by 9 others, and no longer referenced, is garbage along
+   with its free list. *)
+let test_evicted_context_arena_collected () =
+  let weak = Weak.create 1 in
+  let use_once () =
+    let ctx = Conv.context_of ~inputs:6 ~outputs:6 () in
+    Weak.set weak 0 (Some (Conv.arena ctx))
+  in
+  (Sys.opaque_identity use_once) ();
+  for i = 1 to 9 do
+    let other = Conv.context_of ~inputs:(6 + i) ~outputs:6 () in
+    ignore (Conv.arena other : Conv.Arena.t)
+  done;
+  Gc.full_major ();
+  Helpers.check_bool "evicted context's arena collected" false
+    (Weak.check weak 0)
+
 (* ---------- knob validation ---------- *)
 
 let test_knob_validation () =
@@ -582,6 +600,8 @@ let () =
             test_leave_one_out_stable_across_sweeps;
           Helpers.case "allocation plateau after warm-up"
             test_arena_reuse_plateau;
+          Helpers.case "evicted context's arena is collected"
+            test_evicted_context_arena_collected;
         ] );
       ( "knobs",
         [

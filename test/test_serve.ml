@@ -669,6 +669,30 @@ let test_byte_writes_match_one_write () =
   check_bool "1-byte writes: byte stream identical to one write" true
     (String.equal whole trickled)
 
+let test_strict_number_grammar () =
+  (* "+1" is not a JSON number: the line is malformed, not a stats
+     request with id 1. *)
+  let output =
+    run_server_over_pipes ~domains:1
+      [ {|{"id":+1,"op":"stats"}|}; serialize (request 2 Protocol.Shutdown) ]
+  in
+  match String.split_on_char '\n' output with
+  | first :: _ -> (
+      match Json.of_string first with
+      | Ok response ->
+          check_bool "ok:false" true
+            (Json.member "ok" response = Some (Json.Bool false));
+          check_bool "no id salvaged" true
+            (Json.member "id" response = Some Json.Null);
+          check_bool "malformed JSON error" true
+            (match Json.member "error" response with
+            | Some (Json.String message) ->
+                String.length message >= 14
+                && String.equal (String.sub message 0 14) "malformed JSON"
+            | _ -> false)
+      | Error message -> Alcotest.failf "response %S: %s" first message)
+  | [] -> Alcotest.fail "no response"
+
 let read_to_eof fd =
   let buffer = Buffer.create 4096 and chunk = Bytes.create 4096 in
   let rec loop () =
@@ -861,5 +885,6 @@ let () =
             test_server_config_validation;
           case "end to end over stdin" test_end_to_end_stdin;
           case "EOF without shutdown" test_end_to_end_eof_without_shutdown;
+          case "strict number grammar" test_strict_number_grammar;
         ] );
     ]
